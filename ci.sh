@@ -21,6 +21,13 @@ export NEPTUNE_TRACE_DUMP
 cargo build --release
 cargo test --workspace
 
+# The server and lint suites rerun three times at high test parallelism,
+# so a race between sibling tests (e.g. two metric-delta proofs sharing
+# the process-global registry) fails loudly instead of flaking.
+for run in 1 2 3; do
+    cargo test -p neptune-server -p neptune-lint -- --test-threads=16
+done
+
 # The commit-path invariant hooks only exist under this feature; run the
 # neptune-ham suite with them armed so a violated invariant fails CI.
 cargo test -p neptune-ham --features strict-invariants --lib

@@ -6,7 +6,7 @@ use neptune_ham::ham::{Ham, SNAPSHOT_FILE, WAL_FILE};
 use neptune_ham::invariants;
 use neptune_ham::ShardedHam;
 use neptune_storage::checksum::crc32;
-use neptune_storage::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V1};
+use neptune_storage::snapshot::SNAPSHOT_MAGIC;
 use neptune_storage::wal::WAL_MAGIC;
 
 use crate::{Finding, Severity, RULE_SNAPSHOT_CHECKSUM, RULE_STORE_UNOPENABLE, RULE_WAL_CHECKSUM};
@@ -44,12 +44,7 @@ fn scan_snapshot(directory: &Path, findings: &mut Vec<Finding>) {
         }
     };
     let header_len = SNAPSHOT_MAGIC.len() + 8 + 4;
-    // Both snapshot format versions share the header layout; v1 stores
-    // (pre-index archives) stay verifiable without migration.
-    let known_magic = bytes.len() >= SNAPSHOT_MAGIC.len()
-        && (&bytes[..SNAPSHOT_MAGIC.len()] == SNAPSHOT_MAGIC
-            || &bytes[..SNAPSHOT_MAGIC_V1.len()] == SNAPSHOT_MAGIC_V1);
-    if bytes.len() < header_len || !known_magic {
+    if bytes.len() < header_len || !bytes.starts_with(SNAPSHOT_MAGIC) {
         findings.push(Finding::new(
             Severity::Critical,
             RULE_SNAPSHOT_CHECKSUM,

@@ -20,6 +20,9 @@
 
 use std::collections::HashMap;
 
+use neptune_storage::codec::{Decode, Encode, Reader, Writer};
+use neptune_storage::error::{Result as StorageResult, StorageError};
+
 use crate::error::{HamError, Result};
 use crate::graph::HamGraph;
 use crate::types::{LinkIndex, LinkPt, NodeIndex, Time};
@@ -35,6 +38,41 @@ pub enum ConflictPolicy {
     PreferChild,
     /// The parent's state wins (the child's conflicting change is dropped).
     PreferParent,
+}
+
+impl ConflictPolicy {
+    /// The policy's one-byte tag, on the wire and in the WAL.
+    pub(crate) fn to_tag(self) -> u8 {
+        match self {
+            ConflictPolicy::Fail => 0,
+            ConflictPolicy::PreferChild => 1,
+            ConflictPolicy::PreferParent => 2,
+        }
+    }
+
+    pub(crate) fn from_tag(tag: u8) -> StorageResult<ConflictPolicy> {
+        match tag {
+            0 => Ok(ConflictPolicy::Fail),
+            1 => Ok(ConflictPolicy::PreferChild),
+            2 => Ok(ConflictPolicy::PreferParent),
+            tag => Err(StorageError::InvalidTag {
+                context: "ConflictPolicy",
+                tag: tag as u64,
+            }),
+        }
+    }
+}
+
+impl Encode for ConflictPolicy {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(self.to_tag());
+    }
+}
+
+impl Decode for ConflictPolicy {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        ConflictPolicy::from_tag(r.get_u8()?)
+    }
 }
 
 /// Summary of what a merge did.

@@ -87,6 +87,18 @@ impl Event {
     }
 }
 
+impl Encode for Event {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(self.to_tag());
+    }
+}
+
+impl Decode for Event {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        Event::from_tag(r.get_u8()?)
+    }
+}
+
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -281,7 +293,7 @@ impl Encode for DemonTable {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.slots.len() as u64);
         for (event, versions) in &self.slots {
-            w.put_u8(event.to_tag());
+            event.encode(w);
             versions.encode(w);
         }
     }
@@ -292,7 +304,7 @@ impl Decode for DemonTable {
         let count = r.get_u64()? as usize;
         let mut slots = BTreeMap::new();
         for _ in 0..count {
-            let event = Event::from_tag(r.get_u8()?)?;
+            let event = Event::decode(r)?;
             let versions = Versioned::<DemonSpec>::decode(r)?;
             slots.insert(event, versions);
         }

@@ -1347,7 +1347,7 @@ impl Ham {
             ham.push_redo(RedoOp::MergeContext {
                 child,
                 into: parent_id,
-                policy: policy_tag(policy),
+                policy: policy.to_tag(),
             });
             // The merge rewrote parent archives; drop its cached versions.
             ham.lock_vcache().invalidate_context(parent_id.0);
@@ -1464,7 +1464,7 @@ impl Ham {
             child_graph.encode(&mut gw);
             ham.push_redo(RedoOp::MergeForeign {
                 into,
-                policy: policy_tag(policy),
+                policy: policy.to_tag(),
                 fork_time,
                 graph: gw.into_bytes(),
             });
@@ -2003,7 +2003,12 @@ impl Ham {
                 debug_assert_eq!(parent_id, into);
                 let child_graph = self.thread(child)?.graph.clone();
                 let parent = self.graph_mut(into)?;
-                merge_context(parent, &child_graph, fork_time, policy_from_tag(policy))?;
+                merge_context(
+                    parent,
+                    &child_graph,
+                    fork_time,
+                    ConflictPolicy::from_tag(policy).unwrap_or_default(),
+                )?;
                 let new_fork = self.graph(into)?.now();
                 if let Some(thread) = self.threads.get_mut(&child) {
                     thread.forked_from = Some((into, new_fork));
@@ -2040,7 +2045,12 @@ impl Ham {
                 let mut r = Reader::new(&graph);
                 let child_graph = HamGraph::decode(&mut r)?;
                 let parent = self.graph_mut(into)?;
-                merge_context(parent, &child_graph, fork_time, policy_from_tag(policy))?;
+                merge_context(
+                    parent,
+                    &child_graph,
+                    fork_time,
+                    ConflictPolicy::from_tag(policy).unwrap_or_default(),
+                )?;
             }
             RedoOp::RefixFork { child, into, time } => {
                 let thread = self
@@ -2068,22 +2078,6 @@ impl Ham {
     }
 }
 
-fn policy_tag(p: ConflictPolicy) -> u8 {
-    match p {
-        ConflictPolicy::Fail => 0,
-        ConflictPolicy::PreferChild => 1,
-        ConflictPolicy::PreferParent => 2,
-    }
-}
-
-fn policy_from_tag(tag: u8) -> ConflictPolicy {
-    match tag {
-        1 => ConflictPolicy::PreferChild,
-        2 => ConflictPolicy::PreferParent,
-        _ => ConflictPolicy::Fail,
-    }
-}
-
 fn read_meta(vfs: &dyn Vfs, directory: &Path) -> Result<(ProjectId, Protections, u64, u64)> {
     let bytes = read_snapshot_with(vfs, directory.join(META_FILE))?;
     let mut r = Reader::new(&bytes);
@@ -2103,15 +2097,14 @@ struct StoreState {
     boundary_lsn: u64,
     next_context: u64,
     next_txn: u64,
-    /// Commit sequence of the last transaction folded into this snapshot
-    /// (v2 snapshots only; v1 decodes as 0).
+    /// Commit sequence of the last transaction folded into this snapshot.
     last_seq: u64,
     threads: HashMap<ContextId, GraphThread>,
 }
 
-/// v2 snapshots open with this sentinel where v1 stored `boundary_lsn`.
-/// An LSN can never reach it (the WAL would overflow first), so the first
-/// u64 unambiguously selects the format.
+/// Store snapshots open with this sentinel and [`STORE_STATE_VERSION`].
+/// An LSN can never reach it (the WAL would overflow first), so the v1
+/// layout, which opened with `boundary_lsn`, is refused as unknown.
 const STORE_STATE_SENTINEL: u64 = u64::MAX;
 const STORE_STATE_VERSION: u8 = 2;
 
@@ -2143,29 +2136,17 @@ fn encode_store_state(
 
 fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
     let mut r = Reader::new(bytes);
-    let first = r.get_u64()?;
-    let (boundary_lsn, last_seq) = if first == STORE_STATE_SENTINEL {
-        let version = r.get_u8()?;
-        if version != STORE_STATE_VERSION {
-            return Err(HamError::Storage(
-                neptune_storage::StorageError::BadFileHeader {
-                    context: "store snapshot: unknown version",
-                },
-            ));
-        }
-        let boundary_lsn = r.get_u64()?;
-        // next_context / next_txn read below, shared with v1.
-        (boundary_lsn, None)
-    } else {
-        // v1: the first u64 *was* boundary_lsn; no sequence persisted.
-        (first, Some(0))
-    };
+    if r.get_u64()? != STORE_STATE_SENTINEL || r.get_u8()? != STORE_STATE_VERSION {
+        return Err(HamError::Storage(
+            neptune_storage::StorageError::BadFileHeader {
+                context: "store snapshot: unknown version",
+            },
+        ));
+    }
+    let boundary_lsn = r.get_u64()?;
     let next_context = r.get_u64()?;
     let next_txn = r.get_u64()?;
-    let last_seq = match last_seq {
-        Some(s) => s,
-        None => r.get_u64()?,
-    };
+    let last_seq = r.get_u64()?;
     let count = r.get_u64()? as usize;
     let mut threads = HashMap::with_capacity(count.min(r.remaining()));
     for _ in 0..count {
@@ -2334,6 +2315,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("neptune-ham-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn v1_store_state_is_rejected() {
+        // The v1 layout opened with boundary_lsn, next_context, next_txn.
+        let mut w = Writer::new();
+        for v in [7u64, 1, 1, 0] {
+            w.put_u64(v);
+        }
+        assert!(matches!(
+            decode_store_state(&w.into_bytes()),
+            Err(HamError::Storage(
+                neptune_storage::StorageError::BadFileHeader { .. }
+            ))
+        ));
     }
 
     fn fresh(name: &str) -> (Ham, ContextId) {

@@ -221,8 +221,7 @@ impl Encode for Node {
             NodeContents::Archive(a) => {
                 // Tag 2 is the v2 archive layout: canonical chain plus the
                 // persisted skip ladder, so reopened stores keep sublinear
-                // cold checkout. Tag 0 (ladder-less v1) is still decoded for
-                // read compatibility; the next checkpoint re-encodes as v2.
+                // cold checkout. Tag 0 (the ladder-less v1 layout) is refused.
                 w.put_u8(2);
                 a.encode_with_index(w);
             }
@@ -247,7 +246,6 @@ impl Decode for Node {
         let created = Time::decode(r)?;
         let alive = Versioned::<bool>::decode(r)?;
         let contents = match r.get_u8()? {
-            0 => NodeContents::Archive(Archive::decode(r)?),
             1 => NodeContents::File {
                 data: r.get_bytes()?.into(),
                 time: Time::decode(r)?,
@@ -389,25 +387,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_archive_tag_still_decodes() {
-        let mut n = Node::new(NodeIndex(11), Time(1), true);
-        n.modify(b"v2 contents".to_vec(), Time(2), "edit").unwrap();
-        // Re-encode by hand with the pre-index tag 0 layout, as a store
-        // written before the format bump would contain.
+    fn v1_archive_tag_is_rejected() {
+        let n = Node::new(NodeIndex(11), Time(1), true);
+        // The pre-index tag 0 layout, as written before the format bump.
         let mut w = Writer::new();
         n.id.encode(&mut w);
         n.created.encode(&mut w);
         n.alive.encode(&mut w);
         w.put_u8(0);
         n.archive().unwrap().encode(&mut w);
-        n.attrs.encode(&mut w);
-        n.demons.encode(&mut w);
-        n.protections.encode(&mut w);
-        encode_seq(&n.incident_links, &mut w);
-        encode_seq(&n.major_versions, &mut w);
-        encode_seq(&n.minor_versions, &mut w);
-        let decoded = Node::from_bytes(&w.into_bytes()).unwrap();
-        assert_eq!(decoded, n, "v1 nodes must decode identically");
-        assert_eq!(decoded.archive().unwrap().skip_count(), 0);
+        assert!(matches!(
+            Node::from_bytes(&w.into_bytes()),
+            Err(neptune_storage::StorageError::InvalidTag {
+                context: "NodeContents",
+                tag: 0
+            })
+        ));
     }
 }

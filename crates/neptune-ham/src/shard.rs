@@ -403,10 +403,12 @@ impl ShardedHam {
     // Locking
     // =====================================================================
 
-    /// Lock shard `index` (rank `lockcheck::shard(index)`).
+    /// Lock shard `index` (rank `lockcheck::shard(index)`). Every
+    /// acquisition is counted, so a test can prove a path takes none.
     pub fn lock_shard(&self, index: usize) -> ShardGuard<'_> {
         let cell = &self.shards[index];
         let held = neptune_obs::lockcheck::acquire(neptune_obs::lockcheck::shard(index), cell.name);
+        count_metric("neptune_ham_shard_lock_acquisitions_total");
         let guard = cell.ham.lock().unwrap_or_else(PoisonError::into_inner);
         ShardGuard { guard, _held: held }
     }

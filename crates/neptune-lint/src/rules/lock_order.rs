@@ -1,17 +1,15 @@
 //! `lock-order`: the server's lock hierarchy (DESIGN.md §9) is committed
-//! view first, then the gate mutex, then the legacy whole-machine HAM
-//! lock, then the shard locks in ascending index order — never the
-//! reverse — and nothing that can block indefinitely may run while a
-//! machine guard is held. A view load sits *below* every lock because the
-//! lock-free read path must never develop a blocking dependency: loading
-//! a snapshot while holding the gate or a shard lock smuggles the
-//! publication slot into a critical section.
+//! view first, then the gate mutex, then the shard locks in ascending
+//! index order — never the reverse — and nothing that can block
+//! indefinitely may run while a shard guard is held. A view load sits
+//! *below* every lock because the lock-free read path must never develop
+//! a blocking dependency: loading a snapshot while holding the gate or a
+//! shard lock smuggles the publication slot into a critical section.
 //!
 //! The pass is a linear scan over the token stream that tracks *live
 //! guards*: every syntactic acquisition site (`load_view()`,
 //! `load_multi_view()`, `view.load()`, `multi_view()`, `lock_gate()`,
-//! `wait_for_gate(...)`, `gate.lock()`, `read_ham()`/`write_ham()`,
-//! `ham.read()`/`ham.write()`, `lock_home(...)`/`lock_shard(...)`)
+//! `wait_for_gate(...)`, `gate.lock()`, `lock_home(...)`/`lock_shard(...)`)
 //! records a ranked guard bound to its `let` binding (or to the enclosing
 //! statement for temporaries). A guard dies at `drop(name)`, at the end
 //! of its statement (temporaries), or when its scope's brace closes. Two
@@ -25,7 +23,7 @@
 //!   scan; server code holds at most one shard guard, so same-rank shard
 //!   re-entry is flagged like any other re-entry;
 //! * calling a blocking primitive (condvar waits, sleeps, fsync-shaped
-//!   syncs, socket frame I/O) while any HAM or shard guard is live.
+//!   syncs, socket frame I/O) while a shard guard is live.
 //!   Machine *methods* that fsync internally (`checkpoint`,
 //!   `commit_transaction`) are the durability barrier and are
 //!   intentionally exempt: the contract is about foreign blocking work,
@@ -36,8 +34,7 @@ use crate::{lexer::Token, Finding, Kind, SourceFile};
 
 const RANK_VIEW: u8 = 0;
 const RANK_GATE: u8 = 1;
-const RANK_HAM: u8 = 2;
-const RANK_SHARD: u8 = 3;
+const RANK_SHARD: u8 = 2;
 
 const BLOCKING_CALLS: &[&str] = &[
     "wait",
@@ -124,8 +121,8 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
                     col: t.col,
                     message: format!(
                         "{what} acquired while {} (acquired line {}) is still held; \
-                         the hierarchy is view \u{2192} gate \u{2192} HAM \u{2192} \
-                         shard[i] ascending, and no lock rank may be re-entered \
+                         the hierarchy is view \u{2192} gate \u{2192} shard[i] \
+                         ascending, and no lock rank may be re-entered \
                          (DESIGN.md \u{a7}9)",
                         held.what, held.line
                     ),
@@ -143,7 +140,7 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
             && text(toks, i + 1) == "("
             && text(toks, i.wrapping_sub(1)) != "fn"
         {
-            if let Some(held) = guards.iter().find(|g| g.rank >= RANK_HAM) {
+            if let Some(held) = guards.iter().find(|g| g.rank == RANK_SHARD) {
                 findings.push(Finding {
                     rule: "lock-order",
                     path: file.rel_path.clone(),
@@ -151,7 +148,7 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
                     col: t.col,
                     message: format!(
                         "blocking call `{}` while {} from line {} is held; \
-                         blocking under a machine lock starves every writer queued \
+                         blocking under a shard lock starves every writer queued \
                          on that shard (DESIGN.md \u{a7}9)",
                         t.text, held.what, held.line
                     ),
@@ -185,10 +182,6 @@ fn acquisition(toks: &[Token], i: usize) -> Option<(u8, &'static str)> {
         }
         "lock_gate" | "wait_for_gate" => Some((RANK_GATE, "the gate mutex")),
         "lock" if receiver.contains("gate") => Some((RANK_GATE, "the gate mutex")),
-        "read_ham" => Some((RANK_HAM, "the HAM read guard")),
-        "write_ham" => Some((RANK_HAM, "the HAM write guard")),
-        "read" if receiver == "ham" => Some((RANK_HAM, "the HAM read guard")),
-        "write" if receiver == "ham" => Some((RANK_HAM, "the HAM write guard")),
         "lock_home" | "lock_shard" => Some((RANK_SHARD, "a shard guard")),
         _ => None,
     }

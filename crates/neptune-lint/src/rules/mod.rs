@@ -19,7 +19,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     ),
     (
         "lock-order",
-        "committed view before gate mutex before HAM RwLock, never the reverse; no blocking calls while a HAM guard is held (DESIGN.md \u{a7}9)",
+        "committed view before gate mutex before shard locks, never the reverse; no blocking calls while a shard guard is held (DESIGN.md \u{a7}9)",
     ),
     (
         "panic-path",
@@ -32,10 +32,6 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     (
         "metric-name",
         "metric name literals match neptune_<crate>_<noun>_<unit> (DESIGN.md \u{a7}10)",
-    ),
-    (
-        "rpc-histogram",
-        "every Request variant is keyed to its exact name in Request::name() (the rpc latency histogram key) and classified in is_read_only()",
     ),
     (
         "span-parent",
@@ -51,7 +47,6 @@ pub fn run_all(file: &SourceFile) -> Vec<Finding> {
     findings.extend(panic_path::run(file));
     findings.extend(parse_path::run(file));
     findings.extend(metrics::run_metric_name(file));
-    findings.extend(metrics::run_rpc_histogram(file));
     findings.extend(span_parent::run(file));
     findings
 }

@@ -45,20 +45,14 @@ fn violating_fixture_fires_every_rule_family() {
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 16),
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 21),
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 21),
-        // bad_order.rs: gate-after-HAM inversion, blocking sleep under a
-        // read guard, same-rank re-entry, and a view loaded under the gate
-        // and under the HAM lock (views rank below both).
+        // bad_order.rs: gate-after-shard inversion, blocking sleep under a
+        // shard guard, same-rank re-entry, and a view loaded under the gate
+        // and under a shard lock (views rank below both).
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 5),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 12),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 18),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 25),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 32),
-        // proto.rs: Shutdown has no name() arm and no read/write
-        // classification (both reported at the variant, line 6); GetNode is
-        // keyed "get_node" (reported at the arm's string, line 13).
-        ("rpc-histogram", "crates/neptune-server/src/proto.rs", 6),
-        ("rpc-histogram", "crates/neptune-server/src/proto.rs", 6),
-        ("rpc-histogram", "crates/neptune-server/src/proto.rs", 13),
         // server.rs: a duplicate request_root call site (the extra one is
         // reported; the first is the legitimate root).
         ("span-parent", "crates/neptune-server/src/server.rs", 5),

@@ -1,11 +1,11 @@
-//! Fixture: the canonical view → gate → HAM sequence.
+//! Fixture: the canonical view → gate → shard sequence.
 
 pub fn ordered(shared: &Shared) {
     let gate = shared.lock_gate();
-    let ham = shared.write_ham();
+    let shard = shared.ham.lock_home(MAIN_CONTEXT);
     drop(gate);
-    process(&ham);
-    drop(ham);
+    process(&shard);
+    drop(shard);
 }
 
 pub fn lock_free_read_then_exclusive(shared: &Shared) {
@@ -14,8 +14,8 @@ pub fn lock_free_read_then_exclusive(shared: &Shared) {
     let view = shared.load_view();
     let again = shared.load_view();
     let gate = shared.lock_gate();
-    let ham = shared.write_ham();
-    drop(ham);
+    let shard = shared.ham.lock_home(MAIN_CONTEXT);
+    drop(shard);
     drop(gate);
     process(&view);
     drop(again);

@@ -1,21 +1,21 @@
 //! Fixture: lock-hierarchy violations (DESIGN.md §9).
 
 pub fn inverted(shared: &Shared) {
-    let ham = shared.write_ham();
+    let shard = shared.ham.lock_home(MAIN_CONTEXT);
     let gate = shared.lock_gate();
     drop(gate);
-    drop(ham);
+    drop(shard);
 }
 
-pub fn blocking_under_ham(shared: &Shared) {
-    let ham = shared.read_ham();
+pub fn blocking_under_shard(shared: &Shared) {
+    let shard = shared.ham.lock_home(MAIN_CONTEXT);
     std::thread::sleep(core::time::Duration::from_millis(1));
-    drop(ham);
+    drop(shard);
 }
 
 pub fn reentrant(shared: &Shared) {
-    let first = shared.read_ham();
-    let second = shared.read_ham();
+    let first = shared.ham.lock_home(MAIN_CONTEXT);
+    let second = shared.ham.lock_home(MAIN_CONTEXT);
     drop(second);
     drop(first);
 }
@@ -27,9 +27,9 @@ pub fn view_under_gate(shared: &Shared) {
     drop(gate);
 }
 
-pub fn view_under_ham(shared: &Shared) {
-    let ham = shared.write_ham();
+pub fn view_under_shard(shared: &Shared) {
+    let shard = shared.ham.lock_home(MAIN_CONTEXT);
     let view = shared.published_view.load();
     drop(view);
-    drop(ham);
+    drop(shard);
 }

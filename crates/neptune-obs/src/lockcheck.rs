@@ -2,8 +2,8 @@
 //! tracker that panics the moment a thread acquires locks against the
 //! declared hierarchy.
 //!
-//! The server's hierarchy (DESIGN.md §9) is *gate mutex → HAM `RwLock`*,
-//! never the reverse. `neptune-lint`'s `lock-order` rule checks this
+//! The server's hierarchy (DESIGN.md §9) is *view slot → gate mutex →
+//! shard locks in ascending index order*, never the reverse. `neptune-lint`'s `lock-order` rule checks this
 //! syntactically; this module is the runtime half of the same contract:
 //! every guard the server takes carries a [`Held`] token, and acquiring a
 //! rank while the same thread already holds an equal or higher rank panics
@@ -12,10 +12,10 @@
 //! site instead of deadlocking some unlucky future run; in release builds
 //! [`Held`] is a zero-sized no-op and the tracker compiles away entirely.
 //!
-//! Ranks are `u32`s with gaps so layers can slot locks in between;
-//! [`GATE`] and [`HAM`] are the two the server uses today. Tokens may be
-//! released in any order (the server drops the gate before the HAM guard),
-//! so the per-thread state is a small set, not a stack.
+//! Ranks are `u32`s with gaps so layers can slot locks in between:
+//! [`VIEW`], [`GATE`] and the per-shard ranks from [`shard`]. Tokens may be
+//! released in any order (the server drops the gate before the shard
+//! guard), so the per-thread state is a small set, not a stack.
 
 /// A lock's position in the acquisition hierarchy: lower ranks must be
 /// acquired first. Equal ranks conflict (re-entry on the same thread is an
@@ -32,11 +32,6 @@ pub const VIEW: Rank = Rank(5);
 
 /// The transaction gate mutex (`Shared::gate` in neptune-server).
 pub const GATE: Rank = Rank(10);
-
-/// The HAM `RwLock` (`Shared::ham` in neptune-server), read or write side.
-/// Retained for unsharded embedders; the sharded server replaces it with
-/// per-shard ranks from [`shard`].
-pub const HAM: Rank = Rank(20);
 
 /// Base rank of the per-shard machine locks: shard `i` ranks at
 /// `SHARD_BASE + i`, so acquiring shards in ascending index order is
@@ -136,10 +131,10 @@ mod tests {
     #[test]
     fn ordered_acquisition_is_clean() {
         let gate = acquire(GATE, "gate");
-        let ham = acquire(HAM, "ham");
+        let shard0 = acquire(shard(0), "shard 0");
         // Out-of-order release (the server's pattern: gate first).
         drop(gate);
-        drop(ham);
+        drop(shard0);
         // And the whole sequence again, proving state was fully released.
         let gate = acquire(GATE, "gate");
         drop(gate);
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
     fn inverted_acquisition_panics() {
-        let _ham = acquire(HAM, "ham");
+        let _shard = acquire(shard(0), "shard 0");
         let _gate = acquire(GATE, "gate");
         // Release builds compile the tracker out; the cfg_attr above makes
         // this test assert the panic only when the tracker is live.
@@ -159,8 +154,8 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
     fn same_rank_reentry_panics() {
-        let _a = acquire(HAM, "ham");
-        let _b = acquire(HAM, "ham");
+        let _a = acquire(shard(0), "shard 0");
+        let _b = acquire(shard(0), "shard 0");
         #[cfg(not(debug_assertions))]
         panic!("lock-order violation (tracker compiled out)");
     }
@@ -194,8 +189,8 @@ mod tests {
 
     #[test]
     fn ranks_are_per_thread() {
-        let _ham = acquire(HAM, "ham");
-        // Another thread starts with a clean slate: gate-after-HAM on
+        let _shard = acquire(shard(0), "shard 0");
+        // Another thread starts with a clean slate: gate-after-shard on
         // *this* thread is the violation, not across threads.
         std::thread::spawn(|| {
             let _gate = acquire(GATE, "gate");

@@ -6,6 +6,12 @@
 //! one [`Request`] variant; the server answers with one [`Response`].
 //! Messages are encoded with the storage codec and framed by
 //! [`crate::frame`].
+//!
+//! Every `Request` variant is declared exactly once, in the table at the
+//! `requests!` invocation below: its wire tag, its fields, its [`Class`]
+//! and its routing scope. The enum, `name()`, the read/write and scope
+//! classifiers, the batch-element check and the request codec are all
+//! generated from that table, so they cannot drift apart.
 
 use neptune_check::Finding;
 use neptune_ham::context::{ConflictPolicy, MergeReport};
@@ -20,56 +26,6 @@ use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Wri
 use neptune_storage::diff::Difference;
 use neptune_storage::error::{Result as StorageResult, StorageError};
 use std::sync::Arc;
-
-fn encode_event(e: Event, w: &mut Writer) {
-    // Tags are positions in Event::ALL (decode_event indexes into it); an
-    // explicit match keeps the encoder panic-free and forces this list to
-    // grow with the enum.
-    let tag: u8 = match e {
-        Event::GraphOpened => 0,
-        Event::NodeAdded => 1,
-        Event::NodeDeleted => 2,
-        Event::NodeOpened => 3,
-        Event::NodeModified => 4,
-        Event::LinkAdded => 5,
-        Event::LinkDeleted => 6,
-        Event::AttributeChanged => 7,
-    };
-    w.put_u8(tag);
-}
-
-fn decode_event(r: &mut Reader<'_>) -> StorageResult<Event> {
-    let tag = r.get_u8()?;
-    Event::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(StorageError::InvalidTag {
-            context: "Event",
-            tag: tag as u64,
-        })
-}
-
-fn encode_policy(p: ConflictPolicy, w: &mut Writer) {
-    w.put_u8(match p {
-        ConflictPolicy::Fail => 0,
-        ConflictPolicy::PreferChild => 1,
-        ConflictPolicy::PreferParent => 2,
-    });
-}
-
-fn decode_policy(r: &mut Reader<'_>) -> StorageResult<ConflictPolicy> {
-    Ok(match r.get_u8()? {
-        0 => ConflictPolicy::Fail,
-        1 => ConflictPolicy::PreferChild,
-        2 => ConflictPolicy::PreferParent,
-        tag => {
-            return Err(StorageError::InvalidTag {
-                context: "ConflictPolicy",
-                tag: tag as u64,
-            })
-        }
-    })
-}
 
 /// Tag prefixing a request frame that carries the trace-context extension
 /// (see [`TracedRequest`]). Deliberately *outside* the [`Request`] tag
@@ -89,61 +45,198 @@ pub enum ObsSetting {
     Enabled(bool),
 }
 
-fn encode_obs_setting(s: ObsSetting, w: &mut Writer) {
-    match s {
-        ObsSetting::SlowOpMs(ms) => {
-            w.put_u8(0);
-            match ms {
-                Some(ms) => {
-                    w.put_bool(true);
-                    w.put_u64(ms);
-                }
-                None => w.put_bool(false),
+impl Encode for ObsSetting {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ObsSetting::SlowOpMs(ms) => {
+                w.put_u8(0);
+                ms.encode(w);
             }
-        }
-        ObsSetting::Enabled(on) => {
-            w.put_u8(1);
-            w.put_bool(on);
+            ObsSetting::Enabled(on) => {
+                w.put_u8(1);
+                w.put_bool(*on);
+            }
         }
     }
 }
 
-fn decode_obs_setting(r: &mut Reader<'_>) -> StorageResult<ObsSetting> {
-    Ok(match r.get_u8()? {
-        0 => ObsSetting::SlowOpMs(if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        }),
-        1 => ObsSetting::Enabled(r.get_bool()?),
-        tag => {
-            return Err(StorageError::InvalidTag {
-                context: "ObsSetting",
-                tag: tag as u64,
-            })
-        }
-    })
+impl Decode for ObsSetting {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        Ok(match r.get_u8()? {
+            0 => ObsSetting::SlowOpMs(Option::decode(r)?),
+            1 => ObsSetting::Enabled(r.get_bool()?),
+            tag => {
+                return Err(StorageError::InvalidTag {
+                    context: "ObsSetting",
+                    tag: tag as u64,
+                })
+            }
+        })
+    }
 }
 
-/// A client request: one HAM operation (or transaction control).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+/// How the server treats a request: the class column of the `Request`
+/// table.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Only observes state, through a HAM method that takes `&self`: served
+    /// lock-free from a published snapshot.
+    Read,
+    /// Changes state: runs on the exclusive path.
+    Write,
+    /// Transaction control: per-connection state, never a batch element.
+    Txn,
+    /// A batch: read-only iff every element is, never itself an element.
+    Batch,
+}
+
+/// `Some(context)` for a context-scoped table entry, `None` for a
+/// machine-global one.
+macro_rules! scope {
+    () => {
+        None
+    };
+    ($context:expr) => {
+        Some($context)
+    };
+}
+
+/// Declares [`Request`] and everything derived from it from one table.
+///
+/// An entry reads `tag => Class Variant in scope { fields }`:
+/// * `tag` is the variant's wire tag byte;
+/// * `Class` is the entry's [`Class`];
+/// * `in scope` names the field holding the context the request is scoped
+///   to, the sharded server's routing key; an entry without it is
+///   machine-global;
+/// * the fields go on the wire in declaration order, each through its own
+///   `Encode`/`Decode`. A unit variant has no braces; `Batch` is the one
+///   tuple variant, written `(elements: Vec<Request>)`.
+macro_rules! requests {
+    ($(
+        $(#[$doc:meta])*
+        $tag:literal => $class:ident $name:ident $(in $scope:ident)?
+        $({ $($(#[$field_doc:meta])* $field:ident: $field_ty:ty),* $(,)? })?
+        $(($elements:ident: $elements_ty:ty))?
+    ),* $(,)?) => {
+        /// A client request: one HAM operation (or transaction control).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Request {
+            $(
+                $(#[$doc])*
+                $name $({ $($(#[$field_doc])* $field: $field_ty),* })? $(($elements_ty))?,
+            )*
+        }
+
+        impl Request {
+            /// The variant's name, used as the `op` label of the server's
+            /// per-request latency histograms (`neptune_server_rpc_ns{op=...}`).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Request::$name { .. } => stringify!($name),)*
+                }
+            }
+
+            fn class(&self) -> Class {
+                match self {
+                    $(Request::$name { .. } => Class::$class,)*
+                }
+            }
+
+            /// Whether this request only observes state.
+            ///
+            /// Read-only requests from connections that do not own the
+            /// open transaction are served lock-free from the committed
+            /// snapshot the HAM publishes at every commit: no gate, no
+            /// shard lock, no waiting on a writer. Everything else runs on
+            /// the exclusive path. An entry is classed `Read` only if the
+            /// HAM method it dispatches to takes `&self`. A batch is
+            /// read-only iff every element is; one write demotes the whole
+            /// batch to the exclusive path.
+            pub fn is_read_only(&self) -> bool {
+                match self {
+                    $($(Request::$name($elements) => {
+                        $elements.iter().all(Request::is_read_only)
+                    })?)*
+                    request => request.class() == Class::Read,
+                }
+            }
+
+            /// The context this request is scoped to, if any — the sharded
+            /// server's routing key: context-scoped requests go to the
+            /// context's home shard, `None` means machine-global (served
+            /// from a multi-shard view when read-only, or under the gate
+            /// when not).
+            ///
+            /// `MergeContext` reports the *child* context: the server routes
+            /// to the sharded merge which discovers the parent (possibly on
+            /// another shard) itself. A `Batch` is global — the server
+            /// classifies its elements individually.
+            pub fn context_id(&self) -> Option<ContextId> {
+                match self {
+                    $(Request::$name { $($scope,)? .. } => scope!($(*$scope)?),)*
+                }
+            }
+        }
+
+        impl Encode for Request {
+            fn encode(&self, w: &mut Writer) {
+                match self {
+                    $(Request::$name $({ $($field),* })? $(($elements))? => {
+                        w.put_u8($tag);
+                        $($($field.encode(w);)*)?
+                        $($elements.encode(w);)?
+                    })*
+                }
+            }
+        }
+
+        /// Decode a request whose tag byte has already been consumed — the
+        /// shape [`TracedRequest::decode`] needs after peeking for
+        /// [`TRACE_EXT_TAG`]. `allow_batch` is true only at the top level:
+        /// batch elements may not themselves be batches, and refusing the
+        /// tag *during* decode bounds recursion depth against hostile
+        /// deeply-nested payloads.
+        fn decode_request_tag(
+            r: &mut Reader<'_>,
+            tag: u8,
+            allow_batch: bool,
+        ) -> StorageResult<Request> {
+            Ok(match tag {
+                $($tag if allow_batch || Class::$class != Class::Batch => Request::$name
+                    $({ $($field: Decode::decode(r)?),* })?
+                    $(({
+                        let $elements: $elements_ty = decode_batch_elements(r)?;
+                        $elements
+                    }))?,)*
+                tag => {
+                    return Err(StorageError::InvalidTag {
+                        context: "Request",
+                        tag: tag as u64,
+                    })
+                }
+            })
+        }
+    };
+}
+
+requests! {
     /// `addNode`.
-    AddNode {
+    0 => Write AddNode in context {
         /// Target context.
         context: ContextId,
         /// Archive (true) or file (false).
         keep_history: bool,
     },
     /// `deleteNode`.
-    DeleteNode {
+    1 => Write DeleteNode in context {
         /// Target context.
         context: ContextId,
         /// Node to delete.
         node: NodeIndex,
     },
     /// `addLink`.
-    AddLink {
+    2 => Write AddLink in context {
         /// Target context.
         context: ContextId,
         /// Source end.
@@ -152,7 +245,7 @@ pub enum Request {
         to: LinkPt,
     },
     /// `copyLink`.
-    CopyLink {
+    3 => Write CopyLink in context {
         /// Target context.
         context: ContextId,
         /// Link to copy an end from.
@@ -165,14 +258,14 @@ pub enum Request {
         pt: LinkPt,
     },
     /// `deleteLink`.
-    DeleteLink {
+    4 => Write DeleteLink in context {
         /// Target context.
         context: ContextId,
         /// Link to delete.
         link: LinkIndex,
     },
     /// `linearizeGraph` (predicates as source text).
-    LinearizeGraph {
+    5 => Read LinearizeGraph in context {
         /// Target context.
         context: ContextId,
         /// Traversal root.
@@ -189,7 +282,7 @@ pub enum Request {
         link_attrs: Vec<AttributeIndex>,
     },
     /// `getGraphQuery` (predicates as source text).
-    GetGraphQuery {
+    6 => Read GetGraphQuery in context {
         /// Target context.
         context: ContextId,
         /// Time of the query.
@@ -203,8 +296,9 @@ pub enum Request {
         /// Attributes to return per link.
         link_attrs: Vec<AttributeIndex>,
     },
-    /// `openNode`.
-    OpenNode {
+    /// `openNode`. Read-only unless a `nodeOpened` demon is registered, in
+    /// which case the read dispatcher bounces it to the exclusive path.
+    7 => Read OpenNode in context {
         /// Target context.
         context: ContextId,
         /// Node to open.
@@ -215,7 +309,7 @@ pub enum Request {
         attrs: Vec<AttributeIndex>,
     },
     /// `modifyNode`.
-    ModifyNode {
+    8 => Write ModifyNode in context {
         /// Target context.
         context: ContextId,
         /// Node to modify.
@@ -228,14 +322,14 @@ pub enum Request {
         link_pts: Vec<LinkPt>,
     },
     /// `getNodeTimeStamp`.
-    GetNodeTimeStamp {
+    9 => Read GetNodeTimeStamp in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
         node: NodeIndex,
     },
     /// `changeNodeProtection`.
-    ChangeNodeProtection {
+    10 => Write ChangeNodeProtection in context {
         /// Target context.
         context: ContextId,
         /// Node affected.
@@ -244,14 +338,14 @@ pub enum Request {
         protections: Protections,
     },
     /// `getNodeVersions`.
-    GetNodeVersions {
+    11 => Read GetNodeVersions in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
         node: NodeIndex,
     },
     /// `getNodeDifferences`.
-    GetNodeDifferences {
+    12 => Read GetNodeDifferences in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
@@ -262,7 +356,7 @@ pub enum Request {
         time2: Time,
     },
     /// `getToNode`.
-    GetToNode {
+    13 => Read GetToNode in context {
         /// Target context.
         context: ContextId,
         /// Link queried.
@@ -271,7 +365,7 @@ pub enum Request {
         time: Time,
     },
     /// `getFromNode`.
-    GetFromNode {
+    14 => Read GetFromNode in context {
         /// Target context.
         context: ContextId,
         /// Link queried.
@@ -280,14 +374,14 @@ pub enum Request {
         time: Time,
     },
     /// `getAttributes`.
-    GetAttributes {
+    15 => Read GetAttributes in context {
         /// Target context.
         context: ContextId,
         /// Time of the query.
         time: Time,
     },
     /// `getAttributeValues`.
-    GetAttributeValues {
+    16 => Read GetAttributeValues in context {
         /// Target context.
         context: ContextId,
         /// Attribute queried.
@@ -295,15 +389,15 @@ pub enum Request {
         /// Time of the query.
         time: Time,
     },
-    /// `getAttributeIndex`.
-    GetAttributeIndex {
+    /// `getAttributeIndex`. A write: it interns the name on first use.
+    17 => Write GetAttributeIndex in context {
         /// Target context.
         context: ContextId,
         /// Attribute name to intern.
         name: String,
     },
     /// `setNodeAttributeValue`.
-    SetNodeAttributeValue {
+    18 => Write SetNodeAttributeValue in context {
         /// Target context.
         context: ContextId,
         /// Node affected.
@@ -314,7 +408,7 @@ pub enum Request {
         value: Value,
     },
     /// `deleteNodeAttribute`.
-    DeleteNodeAttribute {
+    19 => Write DeleteNodeAttribute in context {
         /// Target context.
         context: ContextId,
         /// Node affected.
@@ -323,7 +417,7 @@ pub enum Request {
         attr: AttributeIndex,
     },
     /// `getNodeAttributeValue`.
-    GetNodeAttributeValue {
+    20 => Read GetNodeAttributeValue in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
@@ -334,7 +428,7 @@ pub enum Request {
         time: Time,
     },
     /// `getNodeAttributes`.
-    GetNodeAttributes {
+    21 => Read GetNodeAttributes in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
@@ -343,7 +437,7 @@ pub enum Request {
         time: Time,
     },
     /// `setLinkAttributeValue`.
-    SetLinkAttributeValue {
+    22 => Write SetLinkAttributeValue in context {
         /// Target context.
         context: ContextId,
         /// Link affected.
@@ -354,7 +448,7 @@ pub enum Request {
         value: Value,
     },
     /// `deleteLinkAttribute`.
-    DeleteLinkAttribute {
+    23 => Write DeleteLinkAttribute in context {
         /// Target context.
         context: ContextId,
         /// Link affected.
@@ -363,7 +457,7 @@ pub enum Request {
         attr: AttributeIndex,
     },
     /// `getLinkAttributeValue`.
-    GetLinkAttributeValue {
+    24 => Read GetLinkAttributeValue in context {
         /// Target context.
         context: ContextId,
         /// Link queried.
@@ -374,7 +468,7 @@ pub enum Request {
         time: Time,
     },
     /// `getLinkAttributes`.
-    GetLinkAttributes {
+    25 => Read GetLinkAttributes in context {
         /// Target context.
         context: ContextId,
         /// Link queried.
@@ -383,7 +477,7 @@ pub enum Request {
         time: Time,
     },
     /// `setGraphDemonValue`.
-    SetGraphDemonValue {
+    26 => Write SetGraphDemonValue in context {
         /// Target context.
         context: ContextId,
         /// Triggering event.
@@ -392,14 +486,14 @@ pub enum Request {
         demon: Option<DemonSpec>,
     },
     /// `getGraphDemons`.
-    GetGraphDemons {
+    27 => Read GetGraphDemons in context {
         /// Target context.
         context: ContextId,
         /// Time of the query.
         time: Time,
     },
     /// `setNodeDemon`.
-    SetNodeDemon {
+    28 => Write SetNodeDemon in context {
         /// Target context.
         context: ContextId,
         /// Node affected.
@@ -410,7 +504,7 @@ pub enum Request {
         demon: Option<DemonSpec>,
     },
     /// `getNodeDemons`.
-    GetNodeDemons {
+    29 => Read GetNodeDemons in context {
         /// Target context.
         context: ContextId,
         /// Node queried.
@@ -419,247 +513,79 @@ pub enum Request {
         time: Time,
     },
     /// Begin an explicit transaction owned by this connection.
-    BeginTransaction,
+    30 => Txn BeginTransaction,
     /// Commit this connection's transaction.
-    CommitTransaction,
+    31 => Txn CommitTransaction,
     /// Abort this connection's transaction.
-    AbortTransaction,
+    32 => Txn AbortTransaction,
     /// Fork a context.
-    CreateContext {
+    33 => Write CreateContext in from {
         /// Parent context.
         from: ContextId,
     },
     /// Merge a context back into its parent.
-    MergeContext {
+    34 => Write MergeContext in child {
         /// Child to merge.
         child: ContextId,
         /// Conflict policy.
         policy: ConflictPolicy,
     },
     /// Discard a context.
-    DestroyContext {
+    35 => Write DestroyContext in id {
         /// Context to discard.
         id: ContextId,
     },
     /// List live contexts.
-    ListContexts,
-    /// Force a checkpoint.
-    Checkpoint,
+    36 => Read ListContexts,
+    /// Force a checkpoint. A write: it rewrites the store's files.
+    37 => Write Checkpoint,
     /// Liveness probe.
-    Ping,
+    38 => Read Ping,
     /// Run the integrity verifier (`neptune-check`) over the server's
     /// store: file scan plus every in-memory invariant.
-    Verify,
+    39 => Read Verify,
     /// Read the version-materialization cache's counters.
     ///
     /// Compatibility alias: everything it reports (and much more) is in
     /// [`Request::Metrics`].
-    CacheStats,
+    40 => Read CacheStats,
     /// Read the full metrics registry as Prometheus-style text exposition:
     /// per-RPC latency histograms, HAM operation timings and transaction
     /// counters, WAL/replay/cache instrumentation.
-    Metrics,
-    /// Several requests executed back-to-back under one gate check and one
-    /// HAM lock acquisition; answered by [`Response::Batch`] with one
-    /// element per request, in order (per-element errors do not abort the
-    /// rest). Transaction control and nested batches are rejected.
-    Batch(Vec<Request>),
+    41 => Read Metrics,
+    /// Several requests executed back-to-back under one gate check;
+    /// answered by [`Response::Batch`] with one element per request, in
+    /// order (per-element errors do not abort the rest). Transaction
+    /// control and nested batches are rejected.
+    42 => Batch Batch (elements: Vec<Request>),
+    // 43 is TRACE_EXT_TAG, reserved for the TracedRequest prefix.
     /// Snapshot the server's flight recorder: every retained trace
     /// (recent tail plus slow/error traces), oldest first.
-    FlightDump,
+    44 => Read FlightDump,
     /// Fetch one retained trace by id; answered with an empty
     /// [`Response::Traces`] once the trace has aged out of both rings.
-    Trace {
+    45 => Read Trace {
         /// The trace id to look up.
         trace_id: u64,
     },
     /// Adjust an observability knob at runtime (slow-op threshold,
-    /// instrumentation kill-switch).
-    ObsControl {
+    /// instrumentation kill-switch). Touches only process-global
+    /// observability state, never the HAM.
+    46 => Read ObsControl {
         /// The setting to change.
         setting: ObsSetting,
     },
 }
 
 impl Request {
-    /// Whether this request only observes the HAM.
-    ///
-    /// The server runs read-only requests under a shared (reader) lock at a
-    /// pinned time, so any number of them proceed concurrently; mutating
-    /// requests take the exclusive lock. A variant belongs here only if the
-    /// HAM method it dispatches to takes `&self` (`GetAttributeIndex`
-    /// interns names and `Checkpoint` rewrites files, so neither
-    /// qualifies). `OpenNode` is read-only with one exception — a
-    /// registered `nodeOpened` demon — which the dispatcher detects and
-    /// routes back through the exclusive path.
-    pub fn is_read_only(&self) -> bool {
-        use Request::*;
-        match self {
-            // A batch is read-only iff every element is; one write demotes
-            // the whole batch to the exclusive path.
-            Batch(elements) => elements.iter().all(Request::is_read_only),
-            LinearizeGraph { .. }
-            | GetGraphQuery { .. }
-            | OpenNode { .. }
-            | GetNodeTimeStamp { .. }
-            | GetNodeVersions { .. }
-            | GetNodeDifferences { .. }
-            | GetToNode { .. }
-            | GetFromNode { .. }
-            | GetAttributes { .. }
-            | GetAttributeValues { .. }
-            | GetNodeAttributeValue { .. }
-            | GetNodeAttributes { .. }
-            | GetLinkAttributeValue { .. }
-            | GetLinkAttributes { .. }
-            | GetGraphDemons { .. }
-            | GetNodeDemons { .. }
-            | ListContexts
-            | Ping
-            | Verify
-            | CacheStats
-            | Metrics
-            // The observability RPCs touch only process-global obs state,
-            // never the HAM: always safe on the shared path.
-            | FlightDump
-            | Trace { .. }
-            | ObsControl { .. } => true,
-            AddNode { .. }
-            | DeleteNode { .. }
-            | AddLink { .. }
-            | CopyLink { .. }
-            | DeleteLink { .. }
-            | ModifyNode { .. }
-            | ChangeNodeProtection { .. }
-            | GetAttributeIndex { .. }
-            | SetNodeAttributeValue { .. }
-            | DeleteNodeAttribute { .. }
-            | SetLinkAttributeValue { .. }
-            | DeleteLinkAttribute { .. }
-            | SetGraphDemonValue { .. }
-            | SetNodeDemon { .. }
-            | BeginTransaction
-            | CommitTransaction
-            | AbortTransaction
-            | CreateContext { .. }
-            | MergeContext { .. }
-            | DestroyContext { .. }
-            | Checkpoint => false,
-        }
-    }
-
-    /// The context this request is scoped to, if any — the sharded
-    /// server's routing key: context-scoped requests go to the context's
-    /// home shard, `None` means machine-global (served from a multi-shard
-    /// view when read-only, or under the gate when not).
-    ///
-    /// `MergeContext` reports the *child* context: the server routes to
-    /// the sharded merge which discovers the parent (possibly on another
-    /// shard) itself. A `Batch` is global — the server classifies its
-    /// elements individually.
-    pub fn context_id(&self) -> Option<ContextId> {
-        use Request::*;
-        match self {
-            AddNode { context, .. }
-            | DeleteNode { context, .. }
-            | AddLink { context, .. }
-            | CopyLink { context, .. }
-            | DeleteLink { context, .. }
-            | LinearizeGraph { context, .. }
-            | GetGraphQuery { context, .. }
-            | OpenNode { context, .. }
-            | ModifyNode { context, .. }
-            | GetNodeTimeStamp { context, .. }
-            | ChangeNodeProtection { context, .. }
-            | GetNodeVersions { context, .. }
-            | GetNodeDifferences { context, .. }
-            | GetToNode { context, .. }
-            | GetFromNode { context, .. }
-            | GetAttributes { context, .. }
-            | GetAttributeValues { context, .. }
-            | GetAttributeIndex { context, .. }
-            | SetNodeAttributeValue { context, .. }
-            | DeleteNodeAttribute { context, .. }
-            | GetNodeAttributeValue { context, .. }
-            | GetNodeAttributes { context, .. }
-            | SetLinkAttributeValue { context, .. }
-            | DeleteLinkAttribute { context, .. }
-            | GetLinkAttributeValue { context, .. }
-            | GetLinkAttributes { context, .. }
-            | SetGraphDemonValue { context, .. }
-            | GetGraphDemons { context, .. }
-            | SetNodeDemon { context, .. }
-            | GetNodeDemons { context, .. } => Some(*context),
-            CreateContext { from } => Some(*from),
-            MergeContext { child, .. } => Some(*child),
-            DestroyContext { id } => Some(*id),
-            BeginTransaction
-            | CommitTransaction
-            | AbortTransaction
-            | ListContexts
-            | Checkpoint
-            | Ping
-            | Verify
-            | CacheStats
-            | Metrics
-            | Batch(..)
-            | FlightDump
-            | Trace { .. }
-            | ObsControl { .. } => None,
-        }
-    }
-
-    /// The variant's name, used as the `op` label of the server's
-    /// per-request latency histograms (`neptune_server_rpc_ns{op=...}`).
-    pub fn name(&self) -> &'static str {
-        use Request::*;
-        match self {
-            AddNode { .. } => "AddNode",
-            DeleteNode { .. } => "DeleteNode",
-            AddLink { .. } => "AddLink",
-            CopyLink { .. } => "CopyLink",
-            DeleteLink { .. } => "DeleteLink",
-            LinearizeGraph { .. } => "LinearizeGraph",
-            GetGraphQuery { .. } => "GetGraphQuery",
-            OpenNode { .. } => "OpenNode",
-            ModifyNode { .. } => "ModifyNode",
-            GetNodeTimeStamp { .. } => "GetNodeTimeStamp",
-            ChangeNodeProtection { .. } => "ChangeNodeProtection",
-            GetNodeVersions { .. } => "GetNodeVersions",
-            GetNodeDifferences { .. } => "GetNodeDifferences",
-            GetToNode { .. } => "GetToNode",
-            GetFromNode { .. } => "GetFromNode",
-            GetAttributes { .. } => "GetAttributes",
-            GetAttributeValues { .. } => "GetAttributeValues",
-            GetAttributeIndex { .. } => "GetAttributeIndex",
-            SetNodeAttributeValue { .. } => "SetNodeAttributeValue",
-            DeleteNodeAttribute { .. } => "DeleteNodeAttribute",
-            GetNodeAttributeValue { .. } => "GetNodeAttributeValue",
-            GetNodeAttributes { .. } => "GetNodeAttributes",
-            SetLinkAttributeValue { .. } => "SetLinkAttributeValue",
-            DeleteLinkAttribute { .. } => "DeleteLinkAttribute",
-            GetLinkAttributeValue { .. } => "GetLinkAttributeValue",
-            GetLinkAttributes { .. } => "GetLinkAttributes",
-            SetGraphDemonValue { .. } => "SetGraphDemonValue",
-            GetGraphDemons { .. } => "GetGraphDemons",
-            SetNodeDemon { .. } => "SetNodeDemon",
-            GetNodeDemons { .. } => "GetNodeDemons",
-            BeginTransaction => "BeginTransaction",
-            CommitTransaction => "CommitTransaction",
-            AbortTransaction => "AbortTransaction",
-            CreateContext { .. } => "CreateContext",
-            MergeContext { .. } => "MergeContext",
-            DestroyContext { .. } => "DestroyContext",
-            ListContexts => "ListContexts",
-            Checkpoint => "Checkpoint",
-            Ping => "Ping",
-            Verify => "Verify",
-            CacheStats => "CacheStats",
-            Metrics => "Metrics",
-            Batch(..) => "Batch",
-            FlightDump => "FlightDump",
-            Trace { .. } => "Trace",
-            ObsControl { .. } => "ObsControl",
+    /// Why this request may not run as a batch element, if it may not:
+    /// transaction control is per-connection state that a half-executed
+    /// batch could corrupt, and batches do not nest.
+    pub(crate) fn batch_element_error(&self) -> Option<&'static str> {
+        match self.class() {
+            Class::Txn => Some("transaction control is not allowed inside a batch"),
+            Class::Batch => Some("nested batches are not allowed"),
+            Class::Read | Class::Write => None,
         }
     }
 }
@@ -739,568 +665,26 @@ pub enum Response {
     Traces(Vec<TraceRecord>),
 }
 
-impl Encode for Request {
-    fn encode(&self, w: &mut Writer) {
-        use Request::*;
-        match self {
-            AddNode {
-                context,
-                keep_history,
-            } => {
-                w.put_u8(0);
-                context.encode(w);
-                w.put_bool(*keep_history);
-            }
-            DeleteNode { context, node } => {
-                w.put_u8(1);
-                context.encode(w);
-                node.encode(w);
-            }
-            AddLink { context, from, to } => {
-                w.put_u8(2);
-                context.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            CopyLink {
-                context,
-                link,
-                time,
-                keep_source,
-                pt,
-            } => {
-                w.put_u8(3);
-                context.encode(w);
-                link.encode(w);
-                time.encode(w);
-                w.put_bool(*keep_source);
-                pt.encode(w);
-            }
-            DeleteLink { context, link } => {
-                w.put_u8(4);
-                context.encode(w);
-                link.encode(w);
-            }
-            LinearizeGraph {
-                context,
-                start,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                w.put_u8(5);
-                context.encode(w);
-                start.encode(w);
-                time.encode(w);
-                w.put_str(node_pred);
-                w.put_str(link_pred);
-                encode_seq(node_attrs, w);
-                encode_seq(link_attrs, w);
-            }
-            GetGraphQuery {
-                context,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                w.put_u8(6);
-                context.encode(w);
-                time.encode(w);
-                w.put_str(node_pred);
-                w.put_str(link_pred);
-                encode_seq(node_attrs, w);
-                encode_seq(link_attrs, w);
-            }
-            OpenNode {
-                context,
-                node,
-                time,
-                attrs,
-            } => {
-                w.put_u8(7);
-                context.encode(w);
-                node.encode(w);
-                time.encode(w);
-                encode_seq(attrs, w);
-            }
-            ModifyNode {
-                context,
-                node,
-                time,
-                contents,
-                link_pts,
-            } => {
-                w.put_u8(8);
-                context.encode(w);
-                node.encode(w);
-                time.encode(w);
-                w.put_bytes(contents);
-                encode_seq(link_pts, w);
-            }
-            GetNodeTimeStamp { context, node } => {
-                w.put_u8(9);
-                context.encode(w);
-                node.encode(w);
-            }
-            ChangeNodeProtection {
-                context,
-                node,
-                protections,
-            } => {
-                w.put_u8(10);
-                context.encode(w);
-                node.encode(w);
-                protections.encode(w);
-            }
-            GetNodeVersions { context, node } => {
-                w.put_u8(11);
-                context.encode(w);
-                node.encode(w);
-            }
-            GetNodeDifferences {
-                context,
-                node,
-                time1,
-                time2,
-            } => {
-                w.put_u8(12);
-                context.encode(w);
-                node.encode(w);
-                time1.encode(w);
-                time2.encode(w);
-            }
-            GetToNode {
-                context,
-                link,
-                time,
-            } => {
-                w.put_u8(13);
-                context.encode(w);
-                link.encode(w);
-                time.encode(w);
-            }
-            GetFromNode {
-                context,
-                link,
-                time,
-            } => {
-                w.put_u8(14);
-                context.encode(w);
-                link.encode(w);
-                time.encode(w);
-            }
-            GetAttributes { context, time } => {
-                w.put_u8(15);
-                context.encode(w);
-                time.encode(w);
-            }
-            GetAttributeValues {
-                context,
-                attr,
-                time,
-            } => {
-                w.put_u8(16);
-                context.encode(w);
-                attr.encode(w);
-                time.encode(w);
-            }
-            GetAttributeIndex { context, name } => {
-                w.put_u8(17);
-                context.encode(w);
-                w.put_str(name);
-            }
-            SetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                value,
-            } => {
-                w.put_u8(18);
-                context.encode(w);
-                node.encode(w);
-                attr.encode(w);
-                value.encode(w);
-            }
-            DeleteNodeAttribute {
-                context,
-                node,
-                attr,
-            } => {
-                w.put_u8(19);
-                context.encode(w);
-                node.encode(w);
-                attr.encode(w);
-            }
-            GetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                time,
-            } => {
-                w.put_u8(20);
-                context.encode(w);
-                node.encode(w);
-                attr.encode(w);
-                time.encode(w);
-            }
-            GetNodeAttributes {
-                context,
-                node,
-                time,
-            } => {
-                w.put_u8(21);
-                context.encode(w);
-                node.encode(w);
-                time.encode(w);
-            }
-            SetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                value,
-            } => {
-                w.put_u8(22);
-                context.encode(w);
-                link.encode(w);
-                attr.encode(w);
-                value.encode(w);
-            }
-            DeleteLinkAttribute {
-                context,
-                link,
-                attr,
-            } => {
-                w.put_u8(23);
-                context.encode(w);
-                link.encode(w);
-                attr.encode(w);
-            }
-            GetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                time,
-            } => {
-                w.put_u8(24);
-                context.encode(w);
-                link.encode(w);
-                attr.encode(w);
-                time.encode(w);
-            }
-            GetLinkAttributes {
-                context,
-                link,
-                time,
-            } => {
-                w.put_u8(25);
-                context.encode(w);
-                link.encode(w);
-                time.encode(w);
-            }
-            SetGraphDemonValue {
-                context,
-                event,
-                demon,
-            } => {
-                w.put_u8(26);
-                context.encode(w);
-                encode_event(*event, w);
-                demon.encode(w);
-            }
-            GetGraphDemons { context, time } => {
-                w.put_u8(27);
-                context.encode(w);
-                time.encode(w);
-            }
-            SetNodeDemon {
-                context,
-                node,
-                event,
-                demon,
-            } => {
-                w.put_u8(28);
-                context.encode(w);
-                node.encode(w);
-                encode_event(*event, w);
-                demon.encode(w);
-            }
-            GetNodeDemons {
-                context,
-                node,
-                time,
-            } => {
-                w.put_u8(29);
-                context.encode(w);
-                node.encode(w);
-                time.encode(w);
-            }
-            BeginTransaction => w.put_u8(30),
-            CommitTransaction => w.put_u8(31),
-            AbortTransaction => w.put_u8(32),
-            CreateContext { from } => {
-                w.put_u8(33);
-                from.encode(w);
-            }
-            MergeContext { child, policy } => {
-                w.put_u8(34);
-                child.encode(w);
-                encode_policy(*policy, w);
-            }
-            DestroyContext { id } => {
-                w.put_u8(35);
-                id.encode(w);
-            }
-            ListContexts => w.put_u8(36),
-            Checkpoint => w.put_u8(37),
-            Ping => w.put_u8(38),
-            Verify => w.put_u8(39),
-            CacheStats => w.put_u8(40),
-            Metrics => w.put_u8(41),
-            Batch(elements) => {
-                w.put_u8(42);
-                encode_seq(elements, w);
-            }
-            // 43 is TRACE_EXT_TAG, reserved for the TracedRequest prefix.
-            FlightDump => w.put_u8(44),
-            Trace { trace_id } => {
-                w.put_u8(45);
-                w.put_u64(*trace_id);
-            }
-            ObsControl { setting } => {
-                w.put_u8(46);
-                encode_obs_setting(*setting, w);
-            }
-        }
-    }
-}
-
 impl Decode for Request {
     fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
         decode_request(r, true)
     }
 }
 
-/// [`Request::decode`] body. `allow_batch` is true only at the top level:
-/// batch elements may not themselves be batches, and rejecting the tag
-/// *during* decode bounds recursion depth against hostile deeply-nested
-/// payloads.
+/// [`Request::decode`] body; see [`decode_request_tag`] for `allow_batch`.
 fn decode_request(r: &mut Reader<'_>, allow_batch: bool) -> StorageResult<Request> {
     let tag = r.get_u8()?;
     decode_request_tag(r, tag, allow_batch)
 }
 
-/// Decode a request whose tag byte has already been consumed — the shape
-/// [`TracedRequest::decode`] needs after peeking for [`TRACE_EXT_TAG`].
-fn decode_request_tag(r: &mut Reader<'_>, tag: u8, allow_batch: bool) -> StorageResult<Request> {
-    {
-        use Request::*;
-        Ok(match tag {
-            0 => AddNode {
-                context: ContextId::decode(r)?,
-                keep_history: r.get_bool()?,
-            },
-            1 => DeleteNode {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-            },
-            2 => AddLink {
-                context: ContextId::decode(r)?,
-                from: LinkPt::decode(r)?,
-                to: LinkPt::decode(r)?,
-            },
-            3 => CopyLink {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                time: Time::decode(r)?,
-                keep_source: r.get_bool()?,
-                pt: LinkPt::decode(r)?,
-            },
-            4 => DeleteLink {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-            },
-            5 => LinearizeGraph {
-                context: ContextId::decode(r)?,
-                start: NodeIndex::decode(r)?,
-                time: Time::decode(r)?,
-                node_pred: r.get_str()?.to_owned(),
-                link_pred: r.get_str()?.to_owned(),
-                node_attrs: decode_seq(r)?,
-                link_attrs: decode_seq(r)?,
-            },
-            6 => GetGraphQuery {
-                context: ContextId::decode(r)?,
-                time: Time::decode(r)?,
-                node_pred: r.get_str()?.to_owned(),
-                link_pred: r.get_str()?.to_owned(),
-                node_attrs: decode_seq(r)?,
-                link_attrs: decode_seq(r)?,
-            },
-            7 => OpenNode {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                time: Time::decode(r)?,
-                attrs: decode_seq(r)?,
-            },
-            8 => ModifyNode {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                time: Time::decode(r)?,
-                contents: r.get_bytes()?.to_vec(),
-                link_pts: decode_seq(r)?,
-            },
-            9 => GetNodeTimeStamp {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-            },
-            10 => ChangeNodeProtection {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                protections: Protections::decode(r)?,
-            },
-            11 => GetNodeVersions {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-            },
-            12 => GetNodeDifferences {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                time1: Time::decode(r)?,
-                time2: Time::decode(r)?,
-            },
-            13 => GetToNode {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            14 => GetFromNode {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            15 => GetAttributes {
-                context: ContextId::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            16 => GetAttributeValues {
-                context: ContextId::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            17 => GetAttributeIndex {
-                context: ContextId::decode(r)?,
-                name: r.get_str()?.to_owned(),
-            },
-            18 => SetNodeAttributeValue {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-                value: Value::decode(r)?,
-            },
-            19 => DeleteNodeAttribute {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-            },
-            20 => GetNodeAttributeValue {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            21 => GetNodeAttributes {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            22 => SetLinkAttributeValue {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-                value: Value::decode(r)?,
-            },
-            23 => DeleteLinkAttribute {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-            },
-            24 => GetLinkAttributeValue {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                attr: AttributeIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            25 => GetLinkAttributes {
-                context: ContextId::decode(r)?,
-                link: LinkIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            26 => SetGraphDemonValue {
-                context: ContextId::decode(r)?,
-                event: decode_event(r)?,
-                demon: Option::<DemonSpec>::decode(r)?,
-            },
-            27 => GetGraphDemons {
-                context: ContextId::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            28 => SetNodeDemon {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                event: decode_event(r)?,
-                demon: Option::<DemonSpec>::decode(r)?,
-            },
-            29 => GetNodeDemons {
-                context: ContextId::decode(r)?,
-                node: NodeIndex::decode(r)?,
-                time: Time::decode(r)?,
-            },
-            30 => BeginTransaction,
-            31 => CommitTransaction,
-            32 => AbortTransaction,
-            33 => CreateContext {
-                from: ContextId::decode(r)?,
-            },
-            34 => MergeContext {
-                child: ContextId::decode(r)?,
-                policy: decode_policy(r)?,
-            },
-            35 => DestroyContext {
-                id: ContextId::decode(r)?,
-            },
-            36 => ListContexts,
-            37 => Checkpoint,
-            38 => Ping,
-            39 => Verify,
-            40 => CacheStats,
-            41 => Metrics,
-            42 if allow_batch => {
-                let count = r.get_u64()? as usize;
-                let mut elements = Vec::with_capacity(count.min(r.remaining()));
-                for _ in 0..count {
-                    elements.push(decode_request(r, false)?);
-                }
-                Batch(elements)
-            }
-            44 => FlightDump,
-            45 => Trace {
-                trace_id: r.get_u64()?,
-            },
-            46 => ObsControl {
-                setting: decode_obs_setting(r)?,
-            },
-            tag => {
-                return Err(StorageError::InvalidTag {
-                    context: "Request",
-                    tag: tag as u64,
-                })
-            }
-        })
+/// The elements of a [`Request::Batch`], each decoded with batches refused.
+fn decode_batch_elements(r: &mut Reader<'_>) -> StorageResult<Vec<Request>> {
+    let count = r.get_u64()? as usize;
+    let mut elements = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        elements.push(decode_request(r, false)?);
     }
+    Ok(elements)
 }
 
 /// A [`Request`] plus the optional trace-context extension the server's
@@ -1561,11 +945,7 @@ impl Encode for Response {
             }
             Demons(items) => {
                 w.put_u8(14);
-                w.put_u64(items.len() as u64);
-                for (e, d) in items {
-                    encode_event(*e, w);
-                    d.encode(w);
-                }
+                encode_seq(items, w);
             }
             TxnStarted(id) => {
                 w.put_u8(15);
@@ -1653,16 +1033,7 @@ fn decode_response(r: &mut Reader<'_>, allow_batch: bool) -> StorageResult<Respo
             11 => A::AttrIndex(AttributeIndex::decode(r)?),
             12 => A::Value(Value::decode(r)?),
             13 => A::AttrTriples(decode_seq(r)?),
-            14 => {
-                let count = r.get_u64()? as usize;
-                let mut items = Vec::with_capacity(count.min(r.remaining()));
-                for _ in 0..count {
-                    let e = decode_event(r)?;
-                    let d = DemonSpec::decode(r)?;
-                    items.push((e, d));
-                }
-                A::Demons(items)
-            }
+            14 => A::Demons(decode_seq(r)?),
             15 => A::TxnStarted(r.get_u64()?),
             16 => A::Context(ContextId::decode(r)?),
             17 => A::Merged(decode_merge_report(r)?),

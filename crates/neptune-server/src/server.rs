@@ -47,10 +47,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use neptune_ham::demons::{DemonSpec, Event};
+use neptune_ham::ham::OpenedNode;
 use neptune_ham::predicate::Predicate;
-use neptune_ham::types::Time;
-use neptune_ham::{CommittedView, Ham, MultiView, ShardedHam};
+use neptune_ham::query::SubGraph;
+use neptune_ham::types::{AttributeIndex, ContextId, LinkIndex, NodeIndex, Time, Version};
+use neptune_ham::value::Value;
+use neptune_ham::{CommittedView, Ham, MultiView, Result as HamResult, ShardedHam};
 use neptune_obs::lockcheck;
+use neptune_storage::diff::Difference;
 
 use crate::frame::FrameBuf;
 use crate::proto::{ObsSetting, Request, Response, TracedRequest};
@@ -513,17 +518,6 @@ fn execute_batch(
     conn: &mut ConnState,
     elements: Vec<Request>,
 ) -> Response {
-    fn element_error(element: &Request) -> Option<Response> {
-        match element {
-            Request::BeginTransaction | Request::CommitTransaction | Request::AbortTransaction => {
-                Some(Response::Error(
-                    "transaction control is not allowed inside a batch".into(),
-                ))
-            }
-            Request::Batch(_) => Some(Response::Error("nested batches are not allowed".into())),
-            _ => None,
-        }
-    }
     if elements.iter().all(Request::is_read_only) && !conn.owns_txn {
         // Lock-free read batch: every element is served from one
         // commit-sequence-consistent multi-shard snapshot, so the batch is
@@ -535,14 +529,14 @@ fn execute_batch(
         let mut responses = Vec::with_capacity(elements.len());
         let mut bounced = false;
         for element in &elements {
-            if let Some(err) = element_error(element) {
-                responses.push(err);
+            if let Some(err) = element.batch_element_error() {
+                responses.push(Response::Error(err.into()));
                 continue;
             }
             let op = element.name();
             let start = Instant::now();
             let served = match element.context_id() {
-                Some(context) => dispatch_read(mv.view_for(context), element.clone()),
+                Some(context) => dispatch_read(&**mv.view_for(context), element.clone()),
                 None => Ok(global_read(shared, &mv, element.clone())),
             };
             match served {
@@ -582,8 +576,8 @@ fn execute_batch(
     let responses = elements
         .into_iter()
         .map(|element| {
-            if let Some(err) = element_error(&element) {
-                return err;
+            if let Some(err) = element.batch_element_error() {
+                return Response::Error(err.into());
             }
             let op = element.name();
             let start = Instant::now();
@@ -619,7 +613,7 @@ fn execute_inner(
                 // Context-scoped read: one lock-free load of the home
                 // shard's published snapshot.
                 let view = shared.load_view(context);
-                dispatch_read(&view, request)
+                dispatch_read(&*view, request)
             }
             None => {
                 // Global read (ListContexts, Verify, …): assemble a
@@ -767,10 +761,9 @@ fn multi_view_age(mv: &MultiView) -> Duration {
         .unwrap_or(Duration::ZERO)
 }
 
-/// Serve a read-only request that is not scoped to a single context
-/// (`Request::context_id()` returned `None`) against a consistent
-/// multi-shard snapshot. Infallible: none of these can bounce to the
-/// exclusive path.
+/// Answer a machine-scoped request (`Request::context_id()` returned
+/// `None`) against a consistent multi-shard snapshot — the one function
+/// for these on both paths. Infallible: none of them can bounce.
 fn global_read(shared: &Shared, mv: &MultiView, request: Request) -> Response {
     use Request as Q;
     use Response as A;
@@ -808,24 +801,12 @@ fn dispatch_exclusive(shared: &Shared, request: Request) -> Response {
             result_to_response(shared.ham.destroy_context(id).map(|_| A::Ok))
         }
         Q::Checkpoint => result_to_response(shared.ham.checkpoint().map(|_| A::Ok)),
+        // Live state, not a snapshot: a transaction owner sees the
+        // contexts its own uncommitted operations created.
         Q::ListContexts => A::Contexts(shared.ham.live_contexts()),
-        Q::Verify => A::Findings(neptune_check::verify_sharded(&shared.ham)),
-        Q::CacheStats => cache_stats_response(shared.ham.version_cache_stats()),
-        Q::Metrics => {
-            let mv = shared.ham.multi_view();
-            metrics_response(shared.ham.version_cache_stats(), multi_view_age(&mv))
-        }
-        Q::Ping => A::Ok,
-        Q::FlightDump => flight_dump_response(),
-        Q::Trace { trace_id } => trace_response(trace_id),
-        Q::ObsControl { setting } => obs_control_response(setting),
-        Q::BeginTransaction | Q::CommitTransaction | Q::AbortTransaction => {
-            A::Error("internal: transaction control reached dispatch".into())
-        }
-        Q::Batch(..) => A::Error("internal: batch reached element dispatch".into()),
         request => {
             let Some(context) = request.context_id() else {
-                return A::Error("internal: unrouted machine-scoped request".into());
+                return global_read(shared, &shared.load_multi_view(), request);
             };
             match shared.ham.lock_home(context) {
                 Ok(mut guard) => dispatch(&mut guard, request),
@@ -835,179 +816,203 @@ fn dispatch_exclusive(shared: &Shared, request: Request) -> Response {
     }
 }
 
-/// Serve a read-only request against a published committed snapshot.
+/// The read surface the live [`Ham`] and a published [`CommittedView`]
+/// share, declared once. Each impl forwards to the source's own method, so
+/// the `ham.*` and `view.*` spans keep their names.
+macro_rules! read_source {
+    ($(fn $method:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;)*) => {
+        #[allow(clippy::too_many_arguments)]
+        trait ReadSource {
+            $(fn $method(&self, $($arg: $ty),*) -> $ret;)*
+        }
+
+        impl ReadSource for Ham {
+            $(fn $method(&self, $($arg: $ty),*) -> $ret {
+                Ham::$method(self, $($arg),*)
+            })*
+        }
+
+        impl ReadSource for CommittedView {
+            $(fn $method(&self, $($arg: $ty),*) -> $ret {
+                CommittedView::$method(self, $($arg),*)
+            })*
+        }
+    };
+}
+
+read_source! {
+    fn open_demon_registered(context: ContextId, node: NodeIndex) -> bool;
+    fn read_node(
+        context: ContextId, node: NodeIndex, time: Time, attrs: &[AttributeIndex],
+    ) -> HamResult<OpenedNode>;
+    fn linearize_graph(
+        context: ContextId, start: NodeIndex, time: Time, node_pred: &Predicate,
+        link_pred: &Predicate, node_attrs: &[AttributeIndex], link_attrs: &[AttributeIndex],
+    ) -> HamResult<SubGraph>;
+    fn get_graph_query(
+        context: ContextId, time: Time, node_pred: &Predicate, link_pred: &Predicate,
+        node_attrs: &[AttributeIndex], link_attrs: &[AttributeIndex],
+    ) -> HamResult<SubGraph>;
+    fn get_node_time_stamp(context: ContextId, node: NodeIndex) -> HamResult<Time>;
+    fn get_node_versions(
+        context: ContextId, node: NodeIndex,
+    ) -> HamResult<(Vec<Version>, Vec<Version>)>;
+    fn get_node_differences(
+        context: ContextId, node: NodeIndex, time1: Time, time2: Time,
+    ) -> HamResult<Vec<Difference>>;
+    fn get_to_node(context: ContextId, link: LinkIndex, time: Time) -> HamResult<(NodeIndex, Time)>;
+    fn get_from_node(
+        context: ContextId, link: LinkIndex, time: Time,
+    ) -> HamResult<(NodeIndex, Time)>;
+    fn get_attributes(context: ContextId, time: Time) -> HamResult<Vec<(String, AttributeIndex)>>;
+    fn get_attribute_values(
+        context: ContextId, attr: AttributeIndex, time: Time,
+    ) -> HamResult<Vec<Value>>;
+    fn get_node_attribute_value(
+        context: ContextId, node: NodeIndex, attr: AttributeIndex, time: Time,
+    ) -> HamResult<Value>;
+    fn get_node_attributes(
+        context: ContextId, node: NodeIndex, time: Time,
+    ) -> HamResult<Vec<(String, AttributeIndex, Value)>>;
+    fn get_link_attribute_value(
+        context: ContextId, link: LinkIndex, attr: AttributeIndex, time: Time,
+    ) -> HamResult<Value>;
+    fn get_link_attributes(
+        context: ContextId, link: LinkIndex, time: Time,
+    ) -> HamResult<Vec<(String, AttributeIndex, Value)>>;
+    fn get_graph_demons(context: ContextId, time: Time) -> HamResult<Vec<(Event, DemonSpec)>>;
+    fn get_node_demons(
+        context: ContextId, node: NodeIndex, time: Time,
+    ) -> HamResult<Vec<(Event, DemonSpec)>>;
+}
+
+/// The one read dispatcher: serve a context-scoped read from `source` —
+/// a published snapshot on the lock-free path, or the live machine under
+/// its shard lock on the exclusive path (transaction owners' reads, and
+/// elements of a batch that writes).
 ///
-/// Returns `Err(request)` when the request turns out to need the exclusive
-/// path after all (an `OpenNode` whose `nodeOpened` demon is registered —
-/// firing a demon mutates state, so it cannot run against an immutable
-/// view). The match is exhaustive so adding a `Request` variant forces an
-/// explicit classification here as well as in [`Request::is_read_only`].
-fn dispatch_read(view: &CommittedView, request: Request) -> std::result::Result<Response, Request> {
+/// Returns `Err(request)` for a request this dispatcher does not serve: a
+/// write, or an `OpenNode` whose `nodeOpened` demon is registered — firing
+/// a demon mutates state, so the lock-free path bounces it to the
+/// exclusive path, where [`dispatch`] fires it.
+fn dispatch_read<S: ReadSource>(
+    source: &S,
+    request: Request,
+) -> std::result::Result<Response, Request> {
     use Request as Q;
     use Response as A;
-    if let Q::OpenNode { context, node, .. } = &request {
-        if view.open_demon_registered(*context, *node) {
-            return Err(request);
+    let result = match request {
+        Q::LinearizeGraph {
+            context,
+            start,
+            time,
+            node_pred,
+            link_pred,
+            node_attrs,
+            link_attrs,
+        } => parse_preds(&node_pred, &link_pred).and_then(|(np, lp)| {
+            source
+                .linearize_graph(context, start, time, &np, &lp, &node_attrs, &link_attrs)
+                .map(A::SubGraph)
+        }),
+        Q::GetGraphQuery {
+            context,
+            time,
+            node_pred,
+            link_pred,
+            node_attrs,
+            link_attrs,
+        } => parse_preds(&node_pred, &link_pred).and_then(|(np, lp)| {
+            source
+                .get_graph_query(context, time, &np, &lp, &node_attrs, &link_attrs)
+                .map(A::SubGraph)
+        }),
+        Q::OpenNode {
+            context,
+            node,
+            time,
+            attrs,
+        } if !source.open_demon_registered(context, node) => source
+            .read_node(context, node, time, &attrs)
+            .map(opened_response),
+        Q::GetNodeTimeStamp { context, node } => {
+            source.get_node_time_stamp(context, node).map(A::Time)
         }
-    }
-    let result: neptune_ham::Result<Response> = (|| {
-        Ok(match request {
-            Q::LinearizeGraph {
-                context,
-                start,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(view.linearize_graph(
-                    context,
-                    start,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::GetGraphQuery {
-                context,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(view.get_graph_query(
-                    context,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::OpenNode {
-                context,
-                node,
-                time,
-                attrs,
-            } => {
-                let opened = view.read_node(context, node, time, &attrs)?;
-                A::Opened {
-                    contents: opened.contents,
-                    link_pts: opened.link_pts,
-                    values: opened.values,
-                    current_time: opened.current_time,
-                }
-            }
-            Q::GetNodeTimeStamp { context, node } => {
-                A::Time(view.get_node_time_stamp(context, node)?)
-            }
-            Q::GetNodeVersions { context, node } => {
-                let (major, minor) = view.get_node_versions(context, node)?;
-                A::Versions(major, minor)
-            }
-            Q::GetNodeDifferences {
-                context,
-                node,
-                time1,
-                time2,
-            } => A::Differences(view.get_node_differences(context, node, time1, time2)?),
-            Q::GetToNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = view.get_to_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetFromNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = view.get_from_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetAttributes { context, time } => {
-                A::Attributes(view.get_attributes(context, time)?)
-            }
-            Q::GetAttributeValues {
-                context,
-                attr,
-                time,
-            } => A::Values(view.get_attribute_values(context, attr, time)?),
-            Q::GetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                time,
-            } => A::Value(view.get_node_attribute_value(context, node, attr, time)?),
-            Q::GetNodeAttributes {
-                context,
-                node,
-                time,
-            } => A::AttrTriples(view.get_node_attributes(context, node, time)?),
-            Q::GetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                time,
-            } => A::Value(view.get_link_attribute_value(context, link, attr, time)?),
-            Q::GetLinkAttributes {
-                context,
-                link,
-                time,
-            } => A::AttrTriples(view.get_link_attributes(context, link, time)?),
-            Q::GetGraphDemons { context, time } => A::Demons(view.get_graph_demons(context, time)?),
-            Q::GetNodeDemons {
-                context,
-                node,
-                time,
-            } => A::Demons(view.get_node_demons(context, node, time)?),
-            Q::ListContexts => A::Contexts(view.contexts()),
-            Q::Ping => A::Ok,
-            Q::Verify => A::Findings(neptune_check::verify_view(view)),
-            Q::CacheStats => cache_stats_response(view.version_cache_stats()),
-            Q::Metrics => metrics_response(view.version_cache_stats(), view.age()),
-            Q::FlightDump => flight_dump_response(),
-            Q::Trace { trace_id } => trace_response(trace_id),
-            Q::ObsControl { setting } => obs_control_response(setting),
-            Q::AddNode { .. }
-            | Q::DeleteNode { .. }
-            | Q::AddLink { .. }
-            | Q::CopyLink { .. }
-            | Q::DeleteLink { .. }
-            | Q::ModifyNode { .. }
-            | Q::ChangeNodeProtection { .. }
-            | Q::GetAttributeIndex { .. }
-            | Q::SetNodeAttributeValue { .. }
-            | Q::DeleteNodeAttribute { .. }
-            | Q::SetLinkAttributeValue { .. }
-            | Q::DeleteLinkAttribute { .. }
-            | Q::SetGraphDemonValue { .. }
-            | Q::SetNodeDemon { .. }
-            | Q::BeginTransaction
-            | Q::CommitTransaction
-            | Q::AbortTransaction
-            | Q::CreateContext { .. }
-            | Q::MergeContext { .. }
-            | Q::DestroyContext { .. }
-            | Q::Checkpoint => {
-                // Unreachable by Request::is_read_only's classification,
-                // but a misrouted request must degrade to an error the
-                // client can read, not a panic (DESIGN.md §13).
-                A::Error("internal: mutating request routed to the read dispatcher".into())
-            }
-            Q::Batch(..) => A::Error("internal: batch routed to the read dispatcher".into()),
-        })
-    })();
+        Q::GetNodeVersions { context, node } => source
+            .get_node_versions(context, node)
+            .map(|(major, minor)| A::Versions(major, minor)),
+        Q::GetNodeDifferences {
+            context,
+            node,
+            time1,
+            time2,
+        } => source
+            .get_node_differences(context, node, time1, time2)
+            .map(A::Differences),
+        Q::GetToNode {
+            context,
+            link,
+            time,
+        } => source
+            .get_to_node(context, link, time)
+            .map(|(n, t)| A::NodeAt(n, t)),
+        Q::GetFromNode {
+            context,
+            link,
+            time,
+        } => source
+            .get_from_node(context, link, time)
+            .map(|(n, t)| A::NodeAt(n, t)),
+        Q::GetAttributes { context, time } => {
+            source.get_attributes(context, time).map(A::Attributes)
+        }
+        Q::GetAttributeValues {
+            context,
+            attr,
+            time,
+        } => source
+            .get_attribute_values(context, attr, time)
+            .map(A::Values),
+        Q::GetNodeAttributeValue {
+            context,
+            node,
+            attr,
+            time,
+        } => source
+            .get_node_attribute_value(context, node, attr, time)
+            .map(A::Value),
+        Q::GetNodeAttributes {
+            context,
+            node,
+            time,
+        } => source
+            .get_node_attributes(context, node, time)
+            .map(A::AttrTriples),
+        Q::GetLinkAttributeValue {
+            context,
+            link,
+            attr,
+            time,
+        } => source
+            .get_link_attribute_value(context, link, attr, time)
+            .map(A::Value),
+        Q::GetLinkAttributes {
+            context,
+            link,
+            time,
+        } => source
+            .get_link_attributes(context, link, time)
+            .map(A::AttrTriples),
+        Q::GetGraphDemons { context, time } => {
+            source.get_graph_demons(context, time).map(A::Demons)
+        }
+        Q::GetNodeDemons {
+            context,
+            node,
+            time,
+        } => source.get_node_demons(context, node, time).map(A::Demons),
+        request => return Err(request),
+    };
     Ok(result_to_response(result))
 }
 
@@ -1037,10 +1042,16 @@ fn metrics_response(s: neptune_storage::vcache::CacheStats, snapshot_age: Durati
     Response::Metrics(registry.expose())
 }
 
-/// Translate a request into a HAM call (exclusive path).
+/// Translate a request into a HAM call (exclusive path): reads through
+/// [`dispatch_read`], then the writes, and the `nodeOpened` demon of an
+/// `OpenNode` the read dispatcher handed back.
 fn dispatch(ham: &mut Ham, request: Request) -> Response {
     use Request as Q;
     use Response as A;
+    let request = match dispatch_read(&*ham, request) {
+        Ok(response) => return response,
+        Err(request) => request,
+    };
     let result: neptune_ham::Result<Response> = (|| {
         Ok(match request {
             Q::AddNode {
@@ -1072,60 +1083,12 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.delete_link(context, link)?;
                 A::Ok
             }
-            Q::LinearizeGraph {
-                context,
-                start,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(ham.linearize_graph(
-                    context,
-                    start,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::GetGraphQuery {
-                context,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(ham.get_graph_query(
-                    context,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
             Q::OpenNode {
                 context,
                 node,
                 time,
                 attrs,
-            } => {
-                let opened = ham.open_node(context, node, time, &attrs)?;
-                A::Opened {
-                    contents: opened.contents,
-                    link_pts: opened.link_pts,
-                    values: opened.values,
-                    current_time: opened.current_time,
-                }
-            }
+            } => opened_response(ham.open_node(context, node, time, &attrs)?),
             Q::ModifyNode {
                 context,
                 node,
@@ -1133,9 +1096,6 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 contents,
                 link_pts,
             } => A::Time(ham.modify_node(context, node, time, contents, &link_pts)?),
-            Q::GetNodeTimeStamp { context, node } => {
-                A::Time(ham.get_node_time_stamp(context, node)?)
-            }
             Q::ChangeNodeProtection {
                 context,
                 node,
@@ -1144,38 +1104,6 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.change_node_protection(context, node, protections)?;
                 A::Ok
             }
-            Q::GetNodeVersions { context, node } => {
-                let (major, minor) = ham.get_node_versions(context, node)?;
-                A::Versions(major, minor)
-            }
-            Q::GetNodeDifferences {
-                context,
-                node,
-                time1,
-                time2,
-            } => A::Differences(ham.get_node_differences(context, node, time1, time2)?),
-            Q::GetToNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = ham.get_to_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetFromNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = ham.get_from_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetAttributes { context, time } => A::Attributes(ham.get_attributes(context, time)?),
-            Q::GetAttributeValues {
-                context,
-                attr,
-                time,
-            } => A::Values(ham.get_attribute_values(context, attr, time)?),
             Q::GetAttributeIndex { context, name } => {
                 A::AttrIndex(ham.get_attribute_index(context, &name)?)
             }
@@ -1196,17 +1124,6 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.delete_node_attribute(context, node, attr)?;
                 A::Ok
             }
-            Q::GetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                time,
-            } => A::Value(ham.get_node_attribute_value(context, node, attr, time)?),
-            Q::GetNodeAttributes {
-                context,
-                node,
-                time,
-            } => A::AttrTriples(ham.get_node_attributes(context, node, time)?),
             Q::SetLinkAttributeValue {
                 context,
                 link,
@@ -1224,17 +1141,6 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.delete_link_attribute(context, link, attr)?;
                 A::Ok
             }
-            Q::GetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                time,
-            } => A::Value(ham.get_link_attribute_value(context, link, attr, time)?),
-            Q::GetLinkAttributes {
-                context,
-                link,
-                time,
-            } => A::AttrTriples(ham.get_link_attributes(context, link, time)?),
             Q::SetGraphDemonValue {
                 context,
                 event,
@@ -1243,7 +1149,6 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.set_graph_demon_value(context, event, demon)?;
                 A::Ok
             }
-            Q::GetGraphDemons { context, time } => A::Demons(ham.get_graph_demons(context, time)?),
             Q::SetNodeDemon {
                 context,
                 node,
@@ -1253,38 +1158,24 @@ fn dispatch(ham: &mut Ham, request: Request) -> Response {
                 ham.set_node_demon(context, node, event, demon)?;
                 A::Ok
             }
-            Q::GetNodeDemons {
-                context,
-                node,
-                time,
-            } => A::Demons(ham.get_node_demons(context, node, time)?),
-            Q::CreateContext { .. }
-            | Q::MergeContext { .. }
-            | Q::DestroyContext { .. }
-            | Q::ListContexts
-            | Q::Checkpoint
-            | Q::Verify
-            | Q::CacheStats
-            | Q::Metrics
-            | Q::FlightDump
-            | Q::Trace { .. }
-            | Q::ObsControl { .. } => {
-                // Machine-level operations must go through the sharded
-                // coordinator (`dispatch_exclusive` intercepts them before
-                // this per-shard dispatcher); running one against a single
-                // shard would corrupt the global context-id space.
-                A::Error("internal: machine-scoped request routed to a single shard".into())
-            }
-            Q::Ping => A::Ok,
-            Q::BeginTransaction | Q::CommitTransaction | Q::AbortTransaction => {
-                // execute_inner consumes these before dispatch; degrade to
-                // an error rather than panicking if that routing changes.
-                A::Error("internal: transaction control reached dispatch".into())
-            }
-            Q::Batch(..) => A::Error("internal: batch reached element dispatch".into()),
+            // Machine-level operations must go through the sharded
+            // coordinator (`dispatch_exclusive` intercepts them before this
+            // per-shard dispatcher); running one against a single shard
+            // would corrupt the global context-id space. A misroute
+            // degrades to an error the client can read, not a panic.
+            _ => A::Error("internal: machine-scoped request routed to a single shard".into()),
         })
     })();
     result_to_response(result)
+}
+
+fn opened_response(opened: OpenedNode) -> Response {
+    Response::Opened {
+        contents: opened.contents,
+        link_pts: opened.link_pts,
+        values: opened.values,
+        current_time: opened.current_time,
+    }
 }
 
 /// Serve [`Request::FlightDump`]: snapshot every retained trace. Touches
@@ -1320,8 +1211,11 @@ fn obs_control_response(setting: ObsSetting) -> Response {
     Response::Ok
 }
 
-fn parse_pred(text: &str) -> neptune_ham::Result<Predicate> {
-    Predicate::parse(text).map_err(|message| neptune_ham::HamError::BadPredicate { message })
+fn parse_preds(node_pred: &str, link_pred: &str) -> HamResult<(Predicate, Predicate)> {
+    let parse = |text: &str| {
+        Predicate::parse(text).map_err(|message| neptune_ham::HamError::BadPredicate { message })
+    };
+    Ok((parse(node_pred)?, parse(link_pred)?))
 }
 
 /// Convenience for servers and tests: the Time the HAM currently reports

@@ -3,8 +3,10 @@
 //! mutating batches, and a mixed reader/writer stress run that checks for
 //! torn reads and read-your-writes.
 //!
-//! The metrics registry is process-global, so the metrics-sensitive tests
-//! serialize on one mutex and reset the registry first.
+//! The metrics registry is process-global and the metrics tests diff it,
+//! so every test in this binary serializes on one mutex: a sibling's
+//! commits would otherwise land inside another test's delta. The metrics
+//! tests also reset the registry first.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -44,6 +46,7 @@ fn sample(text: &str, series: &str) -> Option<f64> {
 
 #[test]
 fn batch_returns_per_element_results_in_order() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start("order");
     let mut c = Client::connect(server.addr()).unwrap();
     let (node, t0) = c.add_node(MAIN_CONTEXT, true).unwrap();
@@ -190,6 +193,7 @@ fn read_batch_during_foreign_txn_is_lock_free() {
 
 #[test]
 fn pipelined_requests_answer_in_order() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start("pipeline");
     let mut c = Client::connect(server.addr()).unwrap();
     let (node, t0) = c.add_node(MAIN_CONTEXT, true).unwrap();
@@ -220,6 +224,7 @@ fn pipelined_requests_answer_in_order() {
 /// inside its own transaction.
 #[test]
 fn stress_pipelined_and_batched_readers_against_a_writer() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start("stress");
     let addr = server.addr();
     let mut setup = Client::connect(addr).unwrap();

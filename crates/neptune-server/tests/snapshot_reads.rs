@@ -1,16 +1,18 @@
 //! The zero-lock proof for the snapshot read path, over real sockets.
 //!
 //! Read-only requests from non-transaction-owners must complete without
-//! acquiring the transaction gate or the HAM lock — the server counts
-//! every acquisition of both, so the proof is a metrics delta: a pure-read
-//! workload moves `neptune_server_reads_lockfree_total` and *neither*
-//! acquisition counter. The other tests pin the two semantic consequences:
+//! acquiring the transaction gate or any shard lock — the server and the
+//! sharded HAM count every acquisition of both, so the proof is a metrics
+//! delta: a pure-read workload moves `neptune_server_reads_lockfree_total`
+//! and *neither* acquisition counter. The other tests pin the two semantic consequences:
 //! a reader never waits on a foreign transaction (it reads the last
 //! committed snapshot), while the transaction owner still reads its own
 //! uncommitted writes through the exclusive path.
 //!
-//! The metrics registry is process-global, so these tests serialize on one
-//! mutex and reset the registry first.
+//! The metrics registry is process-global and the metrics tests diff it,
+//! so every test in this binary serializes on one mutex: a sibling's
+//! commits would otherwise land inside another test's delta. The metrics
+//! tests also reset the registry first.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -47,7 +49,7 @@ fn open_contents(c: &mut Client, node: neptune_ham::types::NodeIndex) -> Vec<u8>
         .to_vec()
 }
 
-/// Pure reads acquire neither the gate nor the HAM lock: both acquisition
+/// Pure reads acquire neither the gate nor a shard lock: both acquisition
 /// counters stand still while the lock-free counter advances.
 #[test]
 fn read_only_requests_acquire_no_locks() {
@@ -66,8 +68,11 @@ fn read_only_requests_acquire_no_locks() {
     // Baseline after the setup writes.
     let before = c.metrics().unwrap();
     let gate0 = sample(&before, "neptune_server_gate_acquisitions_total").unwrap_or(0.0);
-    let ham0 = sample(&before, "neptune_server_ham_lock_acquisitions_total").unwrap_or(0.0);
+    let shard0 = sample(&before, "neptune_ham_shard_lock_acquisitions_total").unwrap_or(0.0);
     let free0 = sample(&before, "neptune_server_reads_lockfree_total").unwrap_or(0.0);
+    // The setup writes locked the home shard, so the counter is live: a
+    // zero delta below is a measurement, not a missing series.
+    assert!(shard0 > 0.0, "{before}");
 
     // A read-only workload: single reads, a pipeline, and a batch.
     const SINGLES: usize = 8;
@@ -94,7 +99,7 @@ fn read_only_requests_acquire_no_locks() {
 
     let after = c.metrics().unwrap();
     let gate1 = sample(&after, "neptune_server_gate_acquisitions_total").unwrap_or(0.0);
-    let ham1 = sample(&after, "neptune_server_ham_lock_acquisitions_total").unwrap_or(0.0);
+    let shard1 = sample(&after, "neptune_ham_shard_lock_acquisitions_total").unwrap_or(0.0);
     let free1 = sample(&after, "neptune_server_reads_lockfree_total").unwrap_or(0.0);
 
     assert_eq!(
@@ -103,9 +108,9 @@ fn read_only_requests_acquire_no_locks() {
         "read-only requests must not touch the gate:\n{after}"
     );
     assert_eq!(
-        ham1 - ham0,
+        shard1 - shard0,
         0.0,
-        "read-only requests must not take the HAM lock:\n{after}"
+        "read-only requests must not take a shard lock:\n{after}"
     );
     // 8 singles + 8 pipelined + 8 batched + 2 metadata reads + the first
     // Metrics scrape itself (the second is counted after its response).
@@ -176,6 +181,7 @@ fn reads_during_foreign_txn_see_committed_state_without_waiting() {
 /// sees the pre-transaction snapshot.
 #[test]
 fn txn_owner_reads_its_own_writes() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start("ryw");
     let addr = server.addr();
     let mut owner = Client::connect(addr).unwrap();

@@ -471,7 +471,7 @@ impl Archive {
     /// coarsest rung first, unit deltas for the remainder — so both cold
     /// and warm checkouts apply O(log n) deltas. Anchors are captured at
     /// every [`KEYFRAME_INTERVAL`]-th version passed, and missing ladder
-    /// rungs (e.g. after migrating a v1 store) are backfilled from the
+    /// rungs (e.g. one dropped as corrupt) are backfilled from the
     /// materializations the walk produces anyway.
     pub fn checkout(&self, t: u64) -> Result<Arc<[u8]>> {
         let resolved = self.resolve_time(t)?;
@@ -568,8 +568,8 @@ impl Archive {
 
     /// Record that this walk holds the contents of version index `pos`, and
     /// backfill any missing ladder rung whose source was the previous
-    /// boundary one span newer — this is how an index-less store migrated
-    /// from the v1 format regrows its ladder from ordinary reads.
+    /// boundary one span newer — this is how an archive with missing rungs
+    /// regrows its ladder from ordinary reads.
     fn note_boundary(&self, pending: &mut PendingBoundaries, pos: usize, bytes: &Arc<[u8]>) {
         for level in 0..SKIP_LEVELS {
             let span = SKIP_SPANS[level];
@@ -1215,7 +1215,7 @@ mod tests {
 
     #[test]
     fn lazy_backfill_regrows_ladder_from_reads() {
-        // A canonical-only decode (a migrated v1 store) has no ladder; a
+        // A canonical-only decode has no ladder; a
         // deep cold read rebuilds the rungs it walks past.
         let a = build(200);
         let d = Archive::from_bytes(&a.to_bytes()).unwrap();

@@ -431,9 +431,6 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 /// Sequences encode as a count followed by each element.
-///
-/// A blanket impl would collide with `Vec<u8>`'s byte-string form, so
-/// sequences of encodable values go through these helpers instead.
 pub fn encode_seq<T: Encode>(items: &[T], w: &mut Writer) {
     w.put_u64(items.len() as u64);
     for item in items {
@@ -451,6 +448,19 @@ pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>> {
         out.push(T::decode(r)?);
     }
     Ok(out)
+}
+
+/// A `Vec` of encodable values is an [`encode_seq`] sequence. `u8` is not
+/// `Encode`, so this never overlaps `Vec<u8>`'s byte-string form above.
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        encode_seq(self, w);
+    }
+}
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        decode_seq(r)
+    }
 }
 
 impl<A: Encode, B: Encode> Encode for (A, B) {

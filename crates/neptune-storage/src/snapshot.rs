@@ -14,13 +14,8 @@ use crate::vfs::{parent_dir, StdVfs, Vfs};
 
 /// Magic bytes identifying a Neptune snapshot file, version 2: node
 /// archives inside the payload carry their persisted skip ladder (the
-/// temporal index). All new snapshots are written as v2.
+/// temporal index). Any other magic is refused on read.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"NEPTSNP2";
-
-/// Version-1 magic, still accepted on read: a v1 payload decodes through
-/// the same codec (archives use the ladder-less tag), and the next
-/// checkpoint rewrites the store as v2 — migration needs no extra step.
-pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"NEPTSNP1";
 
 /// Atomically write `payload` as a snapshot at `path` on the standard
 /// filesystem.
@@ -63,8 +58,7 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Vec<u8>> {
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Vec<u8>> {
     let bytes = vfs.read(path.as_ref())?;
     let header_len = SNAPSHOT_MAGIC.len() + 8 + 4;
-    let known_magic = bytes.starts_with(SNAPSHOT_MAGIC) || bytes.starts_with(SNAPSHOT_MAGIC_V1);
-    if bytes.len() < header_len || !known_magic {
+    if bytes.len() < header_len || !bytes.starts_with(SNAPSHOT_MAGIC) {
         return Err(StorageError::BadFileHeader {
             context: "snapshot",
         });
@@ -184,20 +178,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_magic_still_reads_unknown_versions_do_not() {
-        let dir = tmpdir("v1compat");
+    fn v1_and_unknown_magic_are_rejected() {
+        let dir = tmpdir("v1reject");
         let path = dir.join("graph.snap");
-        write_snapshot(&path, b"pre-index payload").unwrap();
+        write_snapshot(&path, b"payload").unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        bytes[..SNAPSHOT_MAGIC_V1.len()].copy_from_slice(SNAPSHOT_MAGIC_V1);
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_snapshot(&path).unwrap(), b"pre-index payload".to_vec());
-        bytes[..8].copy_from_slice(b"NEPTSNP3");
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(StorageError::BadFileHeader { .. })
-        ));
+        for magic in [b"NEPTSNP1", b"NEPTSNP3"] {
+            bytes[..8].copy_from_slice(magic);
+            fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                read_snapshot(&path),
+                Err(StorageError::BadFileHeader { .. })
+            ));
+        }
     }
 
     #[test]
