@@ -21,11 +21,12 @@ export NEPTUNE_TRACE_DUMP
 cargo build --release
 cargo test --workspace
 
-# The server and lint suites rerun three times at high test parallelism,
-# so a race between sibling tests (e.g. two metric-delta proofs sharing
-# the process-global registry) fails loudly instead of flaking.
+# The whole workspace suite reruns three times at high test parallelism,
+# so a race between sibling tests (two tests sharing a temp dir, two
+# metric-delta proofs sharing the process-global registry, the global
+# flight recorder) fails loudly instead of flaking.
 for run in 1 2 3; do
-    cargo test -p neptune-server -p neptune-lint -- --test-threads=16
+    cargo test --workspace -- --test-threads=16
 done
 
 # The commit-path invariant hooks only exist under this feature; run the

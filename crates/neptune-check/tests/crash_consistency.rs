@@ -825,7 +825,7 @@ fn crash_between_snapshot_and_truncate_does_not_double_apply() {
 // ===========================================================================
 //
 // The single-machine matrix above proves exact prefix recovery. Sharding
-// relaxes that in exactly one documented way (DESIGN.md §13): a cross-shard
+// relaxes that in exactly one documented way (DESIGN.md §12): a cross-shard
 // merge is two per-shard commits under one logical sequence number, and a
 // crash between them may persist the parent half alone. So the sharded
 // sweep asserts *per-context* prefix equivalence — every context recovers
@@ -834,49 +834,143 @@ fn crash_between_snapshot_and_truncate_does_not_double_apply() {
 
 /// Each sharded op is one logical commit (cross-shard merges: two commits
 /// under one sequence), so per-context states line up with step indices.
+/// The child-side edits give later merges every shape of footprint a
+/// cross-shard merge journals (`context::merge_footprint`): new links to
+/// untouched pre-fork nodes, deleted pre-fork nodes and links, and
+/// attribute sets and deletes on pre-fork nodes.
 #[derive(Debug, Clone)]
 enum SOp {
     Fork(usize),
     AddNode(usize),
     ModifyNode(usize, Vec<u8>),
+    /// Add a node and link it to a pre-fork one, in one transaction (in
+    /// MAIN, to any node: that seeds pre-fork links for later forks).
+    Link(usize),
+    DeletePreforkNode(usize),
+    DeletePreforkLink(usize),
+    /// Set (`Some`) or delete (`None`) the `status` attribute of a node,
+    /// pre-fork when there is one (in MAIN, any node).
+    Attr(usize, Option<i64>),
     Merge(usize),
     Checkpoint,
 }
 
 fn gen_sharded_ops(seed: u64, count: usize) -> Vec<SOp> {
     let mut rng = XorShift::new(seed);
-    (0..count)
-        .map(|_| match rng.below(16) {
-            0..=2 => SOp::Fork(rng.next_u64() as usize),
-            3..=4 => SOp::Merge(rng.next_u64() as usize),
-            5 => SOp::Checkpoint,
-            6..=10 => SOp::AddNode(rng.next_u64() as usize),
-            _ => {
-                let len = rng.below(16) as usize;
-                SOp::ModifyNode(rng.next_u64() as usize, rng.bytes(len))
-            }
-        })
-        .collect()
+    // A scripted start: MAIN gets linked nodes and an attribute, then one
+    // cross-shard private world makes every kind of change a merge
+    // journals — a new node linked to an untouched pre-fork node, a
+    // pre-fork node and a pre-fork link deleted, a pre-fork attribute
+    // deleted and another set — and merges back. Random steps follow.
+    let script = [
+        SOp::AddNode(0),
+        SOp::AddNode(0),
+        SOp::Link(0),
+        SOp::Link(1),
+        SOp::Attr(0, Some(1)),
+        SOp::Fork(0),
+        SOp::Link(3),
+        SOp::DeletePreforkNode(2),
+        SOp::DeletePreforkLink(0),
+        SOp::Attr(0, None),
+        SOp::Attr(1, Some(5)),
+        SOp::Merge(0),
+    ];
+    let random = (script.len()..count).map(|_| match rng.below(24) {
+        0..=2 => SOp::Fork(rng.next_u64() as usize),
+        3..=5 => SOp::Merge(rng.next_u64() as usize),
+        6 => SOp::Checkpoint,
+        7..=10 => SOp::AddNode(rng.next_u64() as usize),
+        11..=13 => {
+            let len = rng.below(16) as usize;
+            SOp::ModifyNode(rng.next_u64() as usize, rng.bytes(len))
+        }
+        14..=16 => SOp::Link(rng.next_u64() as usize),
+        17..=18 => SOp::DeletePreforkNode(rng.next_u64() as usize),
+        19..=20 => SOp::DeletePreforkLink(rng.next_u64() as usize),
+        21..=22 => SOp::Attr(rng.next_u64() as usize, Some(rng.below(100) as i64)),
+        _ => SOp::Attr(rng.next_u64() as usize, None),
+    });
+    script.into_iter().chain(random).take(count).collect()
 }
 
-fn apply_sharded(
+/// `ctx`'s live nodes, split into (created after its fork, pre-fork). MAIN
+/// has no fork; all its nodes count as pre-fork.
+fn split_nodes(
+    ham: &Ham,
+    ctx: neptune_ham::ContextId,
+) -> neptune_ham::Result<(Vec<NodeIndex>, Vec<NodeIndex>)> {
+    let fork = ham.context_forked_from(ctx)?.map(|(_, t)| t);
+    let (new, old) = ham
+        .graph(ctx)?
+        .nodes()
+        .filter(|n| n.exists_at(Time::CURRENT))
+        .partition(|n| fork.is_some_and(|f| n.created > f));
+    let ids = |v: Vec<&neptune_ham::node::Node>| v.iter().map(|n| n.id).collect();
+    Ok((ids(new), ids(old)))
+}
+
+/// The contexts a sharded workload has forked so far. A child's first
+/// merge carries everything it changed since its fork, so merges prefer
+/// children that have not been merged yet.
+struct Worlds {
+    ctxs: Vec<neptune_ham::ContextId>,
+    unmerged: Vec<neptune_ham::ContextId>,
+}
+
+impl Worlds {
+    fn new() -> Worlds {
+        Worlds {
+            ctxs: vec![MAIN_CONTEXT],
+            unmerged: Vec::new(),
+        }
+    }
+
+    /// Any context.
+    fn any(&self, i: usize) -> neptune_ham::ContextId {
+        self.ctxs[i % self.ctxs.len()]
+    }
+
+    /// Where a child-side edit goes: a child awaiting its first merge, so
+    /// the merge carries the edit; else any context.
+    fn pending(&self, i: usize) -> neptune_ham::ContextId {
+        match self.unmerged.len() {
+            0 => self.any(i),
+            n => self.unmerged[i % n],
+        }
+    }
+}
+
+/// Run `step` as one explicit transaction, so a step of several HAM ops
+/// is still one commit.
+fn one_commit(
     sharded: &ShardedHam,
-    ctxs: &mut Vec<neptune_ham::ContextId>,
-    op: &SOp,
+    step: impl FnOnce() -> neptune_ham::Result<()>,
 ) -> neptune_ham::Result<()> {
+    sharded.begin_transaction()?;
+    match step() {
+        Ok(()) => sharded.commit_transaction(),
+        Err(e) => {
+            let _ = sharded.abort_transaction();
+            Err(e)
+        }
+    }
+}
+
+fn apply_sharded(sharded: &ShardedHam, worlds: &mut Worlds, op: &SOp) -> neptune_ham::Result<()> {
     match op {
         SOp::Fork(i) => {
-            let parent = ctxs[i % ctxs.len()];
-            let child = sharded.create_context(parent)?;
-            ctxs.push(child);
+            let child = sharded.create_context(worlds.any(*i))?;
+            worlds.ctxs.push(child);
+            worlds.unmerged.push(child);
         }
         SOp::AddNode(i) => {
-            let ctx = ctxs[i % ctxs.len()];
+            let ctx = worlds.any(*i);
             let mut guard = sharded.lock_home(ctx)?;
             guard.add_node(ctx, true)?;
         }
         SOp::ModifyNode(i, contents) => {
-            let ctx = ctxs[i % ctxs.len()];
+            let ctx = worlds.any(*i);
             let mut guard = sharded.lock_home(ctx)?;
             let nodes: Vec<NodeIndex> = guard
                 .graph(ctx)?
@@ -889,20 +983,92 @@ fn apply_sharded(
             }
             let node = nodes[i % nodes.len()];
             let opened = guard.open_node(ctx, node, Time::CURRENT, &[])?;
-            guard.modify_node(ctx, node, opened.current_time, contents.clone(), &[])?;
+            // Attachments stay where they are (every workload link sits at
+            // offset 0, inside any contents).
+            guard.modify_node(
+                ctx,
+                node,
+                opened.current_time,
+                contents.clone(),
+                &opened.link_pts,
+            )?;
+        }
+        SOp::Link(i) => {
+            let ctx = worlds.pending(*i);
+            one_commit(sharded, || {
+                let mut guard = sharded.lock_home(ctx)?;
+                let (_, old) = split_nodes(&guard, ctx)?;
+                if old.is_empty() {
+                    return Ok(());
+                }
+                let (from, _) = guard.add_node(ctx, true)?;
+                let to = old[i % old.len()];
+                guard.add_link(ctx, LinkPt::current(from, 0), LinkPt::current(to, 0))?;
+                Ok(())
+            })?;
+        }
+        SOp::DeletePreforkNode(i) => {
+            let ctx = worlds.pending(*i);
+            let mut guard = sharded.lock_home(ctx)?;
+            let (_, old) = split_nodes(&guard, ctx)?;
+            if ctx == MAIN_CONTEXT || old.is_empty() {
+                return Ok(());
+            }
+            guard.delete_node(ctx, old[i % old.len()])?;
+        }
+        SOp::DeletePreforkLink(i) => {
+            let ctx = worlds.pending(*i);
+            let mut guard = sharded.lock_home(ctx)?;
+            let Some((_, fork)) = guard.context_forked_from(ctx)? else {
+                return Ok(());
+            };
+            let old: Vec<_> = guard
+                .graph(ctx)?
+                .links()
+                .filter(|l| l.exists_at(Time::CURRENT) && l.created <= fork)
+                .map(|l| l.id)
+                .collect();
+            if old.is_empty() {
+                return Ok(());
+            }
+            guard.delete_link(ctx, old[i % old.len()])?;
+        }
+        SOp::Attr(i, value) => {
+            let ctx = worlds.pending(*i);
+            // Interning the name and writing the value are two HAM ops.
+            one_commit(sharded, || {
+                let mut guard = sharded.lock_home(ctx)?;
+                let (new, old) = split_nodes(&guard, ctx)?;
+                let pool = if old.is_empty() { new } else { old };
+                if pool.is_empty() {
+                    return Ok(());
+                }
+                let node = pool[i % pool.len()];
+                let status = guard.get_attribute_index(ctx, "status")?;
+                match value {
+                    Some(v) => guard.set_node_attribute_value(ctx, node, status, Value::Int(*v)),
+                    None if guard
+                        .get_node_attribute_value(ctx, node, status, Time::CURRENT)
+                        .is_ok() =>
+                    {
+                        guard.delete_node_attribute(ctx, node, status)
+                    }
+                    None => Ok(()),
+                }
+            })?;
         }
         SOp::Merge(i) => {
-            let children: Vec<_> = ctxs
-                .iter()
-                .copied()
-                .filter(|c| *c != MAIN_CONTEXT)
-                .collect();
-            if !children.is_empty() {
-                let child = children[i % children.len()];
-                sharded
-                    .merge_context(child, ConflictPolicy::PreferChild)
-                    .map(|_| ())?;
-            }
+            let child = if worlds.unmerged.is_empty() {
+                match &worlds.ctxs[1..] {
+                    [] => return Ok(()),
+                    children => children[i % children.len()],
+                }
+            } else {
+                worlds.unmerged.remove(i % worlds.unmerged.len())
+            };
+            sharded
+                .merge_context(child, ConflictPolicy::PreferChild)
+                .map(|_| ())?;
         }
         SOp::Checkpoint => sharded.checkpoint()?,
     }
@@ -928,6 +1094,14 @@ fn sharded_fps(sharded: &ShardedHam) -> BTreeMap<u64, String> {
                 }
                 s.push('\n');
             }
+            for l in graph.links() {
+                if l.exists_at(time) {
+                    s.push_str(&format!(
+                        "t{t} link {} {}->{}\n",
+                        l.id.0, l.from.node.0, l.to.node.0
+                    ));
+                }
+            }
         }
         out.insert(ctx.0, s);
     }
@@ -947,10 +1121,10 @@ fn sharded_oracle() -> &'static (Vec<SOp>, ShardedFps) {
         let dir = tmpdir("sharded-oracle");
         let (sharded, _, _) =
             ShardedHam::create(&dir, Protections::DEFAULT, SHARD_SWEEP_SHARDS).unwrap();
-        let mut ctxs = vec![MAIN_CONTEXT];
+        let mut worlds = Worlds::new();
         let mut fps = vec![sharded_fps(&sharded)];
         for (i, op) in ops.iter().enumerate() {
-            apply_sharded(&sharded, &mut ctxs, op).unwrap_or_else(|e| {
+            apply_sharded(&sharded, &mut worlds, op).unwrap_or_else(|e| {
                 panic!("sharded oracle step {i} failed (seed {:#x}): {e}", seed())
             });
             fps.push(sharded_fps(&sharded));
@@ -1004,10 +1178,10 @@ fn sharded_fault_run(kind: FaultKind, at: u64) -> Option<()> {
     .unwrap();
     vfs.arm(kind, at);
 
-    let mut ctxs = vec![MAIN_CONTEXT];
+    let mut worlds = Worlds::new();
     let mut completed = 0;
     for op in ops {
-        match apply_sharded(&sharded, &mut ctxs, op) {
+        match apply_sharded(&sharded, &mut worlds, op) {
             Ok(()) => completed += 1,
             Err(e) => {
                 assert!(

@@ -107,20 +107,20 @@ pub fn annotations_of(
 mod tests {
     use super::*;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn fresh(name: &str) -> (Ham, NodeIndex) {
-        let dir = std::env::temp_dir().join(format!("neptune-annot-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn fresh(name: &str) -> (TempDir, Ham, NodeIndex) {
+        let dir = TempDir::new(&format!("neptune-annot-{name}"));
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.modify_node(MAIN_CONTEXT, n, t, b"The quick brown fox.\n".to_vec(), &[])
             .unwrap();
-        (ham, n)
+        (dir, ham, n)
     }
 
     #[test]
     fn annotate_bundles_everything() {
-        let (mut ham, target) = fresh("bundle");
+        let (_dir, mut ham, target) = fresh("bundle");
         let a = annotate(
             &mut ham,
             MAIN_CONTEXT,
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn annotations_sorted_by_offset() {
-        let (mut ham, target) = fresh("sorted");
+        let (_dir, mut ham, target) = fresh("sorted");
         let late = annotate(&mut ham, MAIN_CONTEXT, target, 15, "late\n").unwrap();
         let early = annotate(&mut ham, MAIN_CONTEXT, target, 2, "early\n").unwrap();
         let found = annotations_of(&ham, MAIN_CONTEXT, target, Time::CURRENT).unwrap();
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn annotate_on_missing_target_rolls_back() {
-        let (mut ham, _) = fresh("missing");
+        let (_dir, mut ham, _) = fresh("missing");
         let before = ham.graph(MAIN_CONTEXT).unwrap().live_node_count();
         assert!(annotate(&mut ham, MAIN_CONTEXT, NodeIndex(404), 0, "nope").is_err());
         assert_eq!(ham.graph(MAIN_CONTEXT).unwrap().live_node_count(), before);
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn annotations_are_time_scoped() {
-        let (mut ham, target) = fresh("time");
+        let (_dir, mut ham, target) = fresh("time");
         let t_before = ham.graph(MAIN_CONTEXT).unwrap().now();
         annotate(&mut ham, MAIN_CONTEXT, target, 0, "new note\n").unwrap();
         assert!(annotations_of(&ham, MAIN_CONTEXT, target, t_before)

@@ -173,22 +173,22 @@ mod tests {
     use super::*;
     use crate::doc::Document;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn sample() -> (Ham, Document) {
-        let dir = std::env::temp_dir().join(format!("neptune-gb-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn sample() -> (TempDir, Ham, Document) {
+        let dir = TempDir::new("neptune-gb");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "paper", "SIGMOD Paper").unwrap();
         let spec = doc.add_section(&mut ham, doc.root, 10, "Spec", "").unwrap();
         doc.add_section(&mut ham, doc.root, 20, "Design", "")
             .unwrap();
         doc.add_section(&mut ham, spec, 5, "Spec2", "").unwrap();
-        (ham, doc)
+        (dir, ham, doc)
     }
 
     #[test]
     fn view_shows_labeled_nodes_and_edges() {
-        let (ham, _) = sample();
+        let (_dir, ham, _) = sample();
         let view = GraphBrowser::new()
             .view(&ham, MAIN_CONTEXT, Time::CURRENT)
             .unwrap();
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn node_predicate_filters_view() {
-        let (ham, _) = sample();
+        let (_dir, ham, _) = sample();
         let browser = GraphBrowser::with_predicates("icon = Spec", "true");
         let view = browser.view(&ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         assert_eq!(view.nodes.len(), 1);
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn render_has_four_panes_and_layers() {
-        let (ham, _) = sample();
+        let (_dir, ham, _) = sample();
         let text = GraphBrowser::new()
             .render(&ham, MAIN_CONTEXT, Time::CURRENT)
             .unwrap();
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn cycles_do_not_hang_layout() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         // Create a cycle back to the root.
         let spec = doc.children(&ham, doc.root, Time::CURRENT).unwrap()[0];
         ham.add_link(
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn bad_predicate_is_reported() {
-        let (ham, _) = sample();
+        let (_dir, ham, _) = sample();
         let browser = GraphBrowser::with_predicates("icon = ", "true");
         assert!(matches!(
             browser.view(&ham, MAIN_CONTEXT, Time::CURRENT),

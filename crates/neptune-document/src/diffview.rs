@@ -147,11 +147,11 @@ pub fn render(
 mod tests {
     use super::*;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn versioned_node() -> (Ham, NodeIndex, Time, Time) {
-        let dir = std::env::temp_dir().join(format!("neptune-dv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn versioned_node() -> (TempDir, Ham, NodeIndex, Time, Time) {
+        let dir = TempDir::new("neptune-dv");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let (n, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         let t1 = ham
             .modify_node(MAIN_CONTEXT, n, t0, b"alpha\nbeta\ngamma\n".to_vec(), &[])
@@ -165,12 +165,12 @@ mod tests {
                 &[],
             )
             .unwrap();
-        (ham, n, t1, t2)
+        (dir, ham, n, t1, t2)
     }
 
     #[test]
     fn rows_classify_changes() {
-        let (ham, n, t1, t2) = versioned_node();
+        let (_dir, ham, n, t1, t2) = versioned_node();
         let rows = side_by_side(&ham, MAIN_CONTEXT, n, t1, t2).unwrap();
         let markers: Vec<char> = rows.iter().map(|r| r.marker).collect();
         assert_eq!(markers, vec![' ', '~', ' ', '+']);
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn identical_versions_are_all_unchanged() {
-        let (ham, n, t1, _) = versioned_node();
+        let (_dir, ham, n, t1, _) = versioned_node();
         let rows = side_by_side(&ham, MAIN_CONTEXT, n, t1, t1).unwrap();
         assert!(rows.iter().all(|r| r.marker == ' '));
         assert_eq!(rows.len(), 3);
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn render_is_side_by_side() {
-        let (ham, n, t1, t2) = versioned_node();
+        let (_dir, ham, n, t1, t2) = versioned_node();
         let text = render(&ham, MAIN_CONTEXT, n, t1, t2).unwrap();
         assert!(text.contains("Node Differences Browser"));
         let beta_row = text.lines().find(|l| l.contains("beta")).unwrap();

@@ -198,16 +198,17 @@ impl Document {
 mod tests {
     use super::*;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn fresh(name: &str) -> Ham {
-        let dir = std::env::temp_dir().join(format!("neptune-doc-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Ham::create_graph(dir, Protections::DEFAULT).unwrap().0
+    fn fresh(name: &str) -> (TempDir, Ham) {
+        let dir = TempDir::new(&format!("neptune-doc-{name}"));
+        let ham = Ham::create_graph(&dir, Protections::DEFAULT).unwrap().0;
+        (dir, ham)
     }
 
     #[test]
     fn build_and_linearize_a_document() {
-        let mut ham = fresh("build");
+        let (_dir, mut ham) = fresh("build");
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "paper", "Neptune").unwrap();
         let s1 = doc
             .add_section(&mut ham, doc.root, 10, "Introduction", "intro text\n")
@@ -233,7 +234,7 @@ mod tests {
 
     #[test]
     fn child_order_follows_offsets_not_creation() {
-        let mut ham = fresh("order");
+        let (_dir, mut ham) = fresh("order");
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "d", "Doc").unwrap();
         let late = doc
             .add_section(&mut ham, doc.root, 30, "Third", "")
@@ -252,7 +253,7 @@ mod tests {
 
     #[test]
     fn references_are_not_structure() {
-        let mut ham = fresh("refs");
+        let (_dir, mut ham) = fresh("refs");
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "d", "Doc").unwrap();
         let s1 = doc.add_section(&mut ham, doc.root, 10, "A", "").unwrap();
         let s2 = doc.add_section(&mut ham, doc.root, 20, "B", "").unwrap();
@@ -269,7 +270,7 @@ mod tests {
 
     #[test]
     fn two_documents_are_disjoint() {
-        let mut ham = fresh("twodocs");
+        let (_dir, mut ham) = fresh("twodocs");
         let a = Document::create(&mut ham, MAIN_CONTEXT, "a", "Doc A").unwrap();
         let b = Document::create(&mut ham, MAIN_CONTEXT, "b", "Doc B").unwrap();
         a.add_section(&mut ham, a.root, 10, "A1", "").unwrap();
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn failed_section_add_rolls_back() {
-        let mut ham = fresh("rollback");
+        let (_dir, mut ham) = fresh("rollback");
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "d", "Doc").unwrap();
         let before = ham.graph(MAIN_CONTEXT).unwrap().live_node_count();
         // Adding under a nonexistent parent fails atomically.

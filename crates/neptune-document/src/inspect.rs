@@ -120,23 +120,23 @@ mod tests {
     use neptune_ham::demons::{DemonSpec, Event};
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
     use neptune_ham::Value;
+    use neptune_storage::testutil::TempDir;
 
-    fn fixture() -> (Ham, NodeIndex) {
-        let dir = std::env::temp_dir().join(format!("neptune-inspect-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn fixture() -> (TempDir, Ham, NodeIndex) {
+        let dir = TempDir::new("neptune-inspect");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.modify_node(MAIN_CONTEXT, n, t, b"content\n".to_vec(), &[])
             .unwrap();
         let status = ham.get_attribute_index(MAIN_CONTEXT, "status").unwrap();
         ham.set_node_attribute_value(MAIN_CONTEXT, n, status, Value::str("draft"))
             .unwrap();
-        (ham, n)
+        (dir, ham, n)
     }
 
     #[test]
     fn attribute_browser_lists_names_and_values() {
-        let (ham, _) = fixture();
+        let (_dir, ham, _) = fixture();
         let text = attribute_browser(&ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         assert!(text.contains("status"));
         assert!(text.contains("draft"));
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn attribute_browser_respects_time() {
-        let (ham, _) = fixture();
+        let (_dir, ham, _) = fixture();
         // Time(1) predates the attribute's creation.
         let text = attribute_browser(&ham, MAIN_CONTEXT, Time(1)).unwrap();
         assert!(!text.contains("status"));
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn version_browser_shows_both_histories() {
-        let (ham, n) = fixture();
+        let (_dir, ham, n) = fixture();
         let text = version_browser(&ham, MAIN_CONTEXT, n).unwrap();
         assert!(text.contains("created"));
         assert!(text.contains("modifyNode"));
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn demon_browser_shows_registrations_and_journal() {
-        let (mut ham, n) = fixture();
+        let (_dir, mut ham, n) = fixture();
         ham.set_graph_demon_value(
             MAIN_CONTEXT,
             Event::NodeModified,

@@ -122,20 +122,20 @@ mod tests {
     use crate::annotate::annotate;
     use neptune_ham::types::{LinkPt, Protections, MAIN_CONTEXT};
     use neptune_ham::Value;
+    use neptune_storage::testutil::TempDir;
 
-    fn fresh(name: &str) -> (Ham, NodeIndex) {
-        let dir = std::env::temp_dir().join(format!("neptune-nv-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn fresh(name: &str) -> (TempDir, Ham, NodeIndex) {
+        let dir = TempDir::new(&format!("neptune-nv-{name}"));
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.modify_node(MAIN_CONTEXT, n, t, b"hello world\n".to_vec(), &[])
             .unwrap();
-        (ham, n)
+        (dir, ham, n)
     }
 
     #[test]
     fn markers_appear_at_offsets() {
-        let (mut ham, n) = fresh("markers");
+        let (_dir, mut ham, n) = fresh("markers");
         let (target, tt) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.modify_node(MAIN_CONTEXT, target, tt, b"the target\n".to_vec(), &[])
             .unwrap();
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn default_icon_when_unset() {
-        let (mut ham, n) = fresh("default");
+        let (_dir, mut ham, n) = fresh("default");
         let (target, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.add_link(
             MAIN_CONTEXT,
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn following_a_link_opens_the_target() {
-        let (mut ham, n) = fresh("follow");
+        let (_dir, mut ham, n) = fresh("follow");
         let a = annotate(&mut ham, MAIN_CONTEXT, n, 6, "an aside\n").unwrap();
         let view = view_node(&mut ham, MAIN_CONTEXT, n, Time::CURRENT).unwrap();
         let target_view = follow(&mut ham, MAIN_CONTEXT, &view, 0, Time::CURRENT).unwrap();
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn multiple_markers_keep_offset_order() {
-        let (mut ham, n) = fresh("multi");
+        let (_dir, mut ham, n) = fresh("multi");
         let (t1, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         let (t2, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.add_link(MAIN_CONTEXT, LinkPt::current(n, 11), LinkPt::current(t2, 0))
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn old_versions_render_without_later_links() {
-        let (mut ham, n) = fresh("old");
+        let (_dir, mut ham, n) = fresh("old");
         let t_before = ham.graph(MAIN_CONTEXT).unwrap().now();
         let (target, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         ham.add_link(

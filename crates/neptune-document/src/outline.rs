@@ -217,11 +217,11 @@ mod tests {
     use super::*;
     use crate::doc::Document;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn sample() -> (Ham, Document) {
-        let dir = std::env::temp_dir().join(format!("neptune-ob-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn sample() -> (TempDir, Ham, Document) {
+        let dir = TempDir::new("neptune-ob");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "paper", "Paper").unwrap();
         let h = doc
             .add_section(&mut ham, doc.root, 10, "Hypertext", "About hypertext.\n")
@@ -232,12 +232,12 @@ mod tests {
             .unwrap();
         doc.add_section(&mut ham, doc.root, 20, "Overview", "HAM overview.\n")
             .unwrap();
-        (ham, doc)
+        (dir, ham, doc)
     }
 
     #[test]
     fn first_pane_comes_from_query() {
-        let (mut ham, _) = sample();
+        let (_dir, mut ham, _) = sample();
         let browser = DocumentBrowser::new("document = \"paper\"");
         let view = browser.view(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         assert_eq!(
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn selections_open_descendant_panes() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let mut browser = DocumentBrowser::new("document = \"paper\"");
         // Find the root's index in pane 0 and select it.
         let view = browser.view(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn shift_windows_deep_hierarchies() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let mut browser = DocumentBrowser::new("document = \"paper\"");
         let view = browser.view(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         let root_idx = view.panes[0]
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn render_shows_columns_and_contents() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let mut browser = DocumentBrowser::new("document = \"paper\"");
         let view = browser.view(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         let root_idx = view.panes[0]

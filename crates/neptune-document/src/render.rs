@@ -87,11 +87,11 @@ pub fn hardcopy(ham: &mut Ham, doc: &Document, time: Time) -> Result<String> {
 mod tests {
     use super::*;
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn sample() -> (Ham, Document) {
-        let dir = std::env::temp_dir().join(format!("neptune-render-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn sample() -> (TempDir, Ham, Document) {
+        let dir = TempDir::new("neptune-render");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "paper", "Neptune Paper").unwrap();
         let intro = doc
             .add_section(
@@ -106,12 +106,12 @@ mod tests {
             .unwrap();
         doc.add_section(&mut ham, doc.root, 20, "Hypertext", "Nodes and links.\n")
             .unwrap();
-        (ham, doc)
+        (dir, ham, doc)
     }
 
     #[test]
     fn numbering_reflects_structure() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let sections = flatten(&mut ham, &doc, Time::CURRENT).unwrap();
         let numbers: Vec<&str> = sections.iter().map(|s| s.number.as_str()).collect();
         assert_eq!(numbers, vec!["", "1", "1.1", "2"]);
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn hardcopy_contains_everything_in_order() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let text = hardcopy(&mut ham, &doc, Time::CURRENT).unwrap();
         let intro_pos = text.find("1 Introduction").unwrap();
         let motiv_pos = text.find("1.1 Motivation").unwrap();
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn hardcopy_of_old_version_omits_later_sections() {
-        let (mut ham, doc) = sample();
+        let (_dir, mut ham, doc) = sample();
         let t_before = ham.graph(MAIN_CONTEXT).unwrap().now();
         doc.add_section(&mut ham, doc.root, 30, "Conclusions", "Later addition.\n")
             .unwrap();

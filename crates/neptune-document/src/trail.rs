@@ -202,11 +202,11 @@ impl Trail {
 mod tests {
     use super::*;
     use neptune_ham::types::{LinkPt, Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn reading_graph() -> (Ham, Vec<NodeIndex>, Vec<LinkIndex>) {
-        let dir = std::env::temp_dir().join(format!("neptune-trail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn reading_graph() -> (TempDir, Ham, Vec<NodeIndex>, Vec<LinkIndex>) {
+        let dir = TempDir::new("neptune-trail");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let mut nodes = Vec::new();
         for i in 0..4 {
             let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
@@ -225,12 +225,12 @@ mod tests {
                 .unwrap();
             links.push(l);
         }
-        (ham, nodes, links)
+        (dir, ham, nodes, links)
     }
 
     #[test]
     fn trail_records_followed_links() {
-        let (mut ham, nodes, links) = reading_graph();
+        let (_dir, mut ham, nodes, links) = reading_graph();
         let mut trail = Trail::start(&mut ham, MAIN_CONTEXT, "norm", nodes[0]).unwrap();
         assert_eq!(trail.current(), nodes[0]);
         trail.follow(&mut ham, MAIN_CONTEXT, links[0]).unwrap();
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn wrong_link_is_rejected() {
-        let (mut ham, nodes, links) = reading_graph();
+        let (_dir, mut ham, nodes, links) = reading_graph();
         let mut trail = Trail::start(&mut ham, MAIN_CONTEXT, "norm", nodes[0]).unwrap();
         // links[1] starts at nodes[1], not the current node.
         assert!(trail.follow(&mut ham, MAIN_CONTEXT, links[1]).is_err());
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn back_resumes_after_diversion() {
-        let (mut ham, nodes, links) = reading_graph();
+        let (_dir, mut ham, nodes, links) = reading_graph();
         let mut trail = Trail::start(&mut ham, MAIN_CONTEXT, "norm", nodes[0]).unwrap();
         trail.follow(&mut ham, MAIN_CONTEXT, links[0]).unwrap();
         let resumed = trail.back(&mut ham, MAIN_CONTEXT).unwrap();
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn another_reader_loads_and_replays() {
-        let (mut ham, nodes, links) = reading_graph();
+        let (_dir, mut ham, nodes, links) = reading_graph();
         let trail_node;
         {
             let mut trail = Trail::start(&mut ham, MAIN_CONTEXT, "norm", nodes[0]).unwrap();
@@ -279,13 +279,13 @@ mod tests {
 
     #[test]
     fn loading_a_non_trail_node_fails() {
-        let (mut ham, nodes, _) = reading_graph();
+        let (_dir, mut ham, nodes, _) = reading_graph();
         assert!(Trail::load(&mut ham, MAIN_CONTEXT, nodes[0]).is_err());
     }
 
     #[test]
     fn trails_are_versioned_hypertext() {
-        let (mut ham, nodes, links) = reading_graph();
+        let (_dir, mut ham, nodes, links) = reading_graph();
         let mut trail = Trail::start(&mut ham, MAIN_CONTEXT, "norm", nodes[0]).unwrap();
         let t_short = ham.graph(MAIN_CONTEXT).unwrap().now();
         trail.follow(&mut ham, MAIN_CONTEXT, links[0]).unwrap();

@@ -286,8 +286,16 @@ pub fn merge_context(
             if !clink.exists_at(Time::CURRENT) {
                 continue;
             }
-            let (Some(&from_node), Some(&to_node)) =
-                (node_map.get(&clink.from.node), node_map.get(&clink.to.node))
+            // An endpoint the child graph lacks is a pre-fork node that
+            // `merge_footprint` left out as unchanged: pass 2 would have
+            // mapped it to itself.
+            let mapped = |n: NodeIndex| {
+                node_map
+                    .get(&n)
+                    .copied()
+                    .or_else(|| child.node(n).is_err().then_some(n))
+            };
+            let (Some(from_node), Some(to_node)) = (mapped(clink.from.node), mapped(clink.to.node))
             else {
                 continue; // an endpoint didn't survive the merge
             };
@@ -348,6 +356,42 @@ pub fn merge_context(
 
     parent.record_graph_version(parent.now(), "context merged");
     Ok(report)
+}
+
+/// The part of `child` that [`merge_context`] acts on when merging it
+/// into `parent` at `fork_time`. It keeps every node and link created after
+/// the fork (live or not), every pre-fork object whose contents or
+/// attributes changed after the fork, every pre-fork object dead in the
+/// child unless the parent holds it dead too, and the whole attribute
+/// table.
+///
+/// Merging the result gives the same parent state and [`MergeReport`] as
+/// merging all of `child`: what it leaves out are pre-fork objects the
+/// merge would skip, and a new link's endpoint among them maps to itself
+/// (see pass 3). A child-dead object is kept unless the parent already
+/// holds it dead, whenever the child deleted it: after a re-fork the
+/// child's clock trails the fork time, and pass 1 can give a merged node
+/// the id of a node the child deleted. A cross-shard merge journals this
+/// graph instead of the whole child, so its WAL record grows with the
+/// child's changes, not with the size and age of the context it merges
+/// into.
+pub fn merge_footprint(parent: &HamGraph, child: &HamGraph, fork_time: Time) -> HamGraph {
+    child.subgraph(
+        |n| {
+            n.created > fork_time
+                || node_changed_after(n, fork_time)
+                || (!n.exists_at(Time::CURRENT)
+                    && !parent.node(n.id).is_ok_and(|p| !p.exists_at(Time::CURRENT)))
+        },
+        |l| {
+            l.created > fork_time
+                || if l.exists_at(Time::CURRENT) {
+                    !l.attrs.attrs_changed_after(fork_time).is_empty()
+                } else {
+                    !parent.link(l.id).is_ok_and(|p| !p.exists_at(Time::CURRENT))
+                }
+        },
+    )
 }
 
 fn parent_tick(parent: &mut HamGraph) -> Time {

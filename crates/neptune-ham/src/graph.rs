@@ -6,7 +6,7 @@
 //! facade layers transactions, durability, demon firing, and the appendix
 //! operation signatures on top.
 
-use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
+use neptune_storage::codec::{decode_seq, Decode, Encode, Reader, Writer};
 use neptune_storage::error::Result as StorageResult;
 
 use crate::attributes::{AttrMap, AttributeTable, ObjKind, ValueIndex};
@@ -40,7 +40,10 @@ pub struct HamGraph {
     pub attr_table: AttributeTable,
     /// Graph-level demons.
     pub graph_demons: DemonTable,
-    graph_versions: Vec<Version>,
+    /// Graph-level versions keyed by their position in the list (one per
+    /// merge into this context); persistent like `nodes`, so a clone does
+    /// not copy the history.
+    graph_versions: Pam<Version>,
     value_index: ValueIndex,
     temporal_index: TemporalIndex,
 }
@@ -75,7 +78,7 @@ impl HamGraph {
             links: Pam::new(),
             attr_table: AttributeTable::new(),
             graph_demons: DemonTable::new(),
-            graph_versions: vec![Version::new(Time(1), "graph created")],
+            graph_versions: indexed([Version::new(Time(1), "graph created")]),
             value_index: ValueIndex::new(),
             temporal_index: TemporalIndex::new(),
         }
@@ -170,6 +173,44 @@ impl HamGraph {
             .values()
             .filter(|l| l.exists_at(Time::CURRENT))
             .count()
+    }
+
+    /// A graph with this one's clock, id counters and attribute table but
+    /// only the nodes and links the predicates keep, and no graph demons
+    /// or graph versions — the shape [`crate::context::merge_footprint`]
+    /// journals for a cross-shard merge.
+    pub(crate) fn subgraph(
+        &self,
+        keep_node: impl Fn(&Node) -> bool,
+        keep_link: impl Fn(&Link) -> bool,
+    ) -> HamGraph {
+        let mut graph = HamGraph {
+            project_id: self.project_id,
+            created: self.created,
+            clock: self.clock,
+            next_node: self.next_node,
+            next_link: self.next_link,
+            nodes: self
+                .nodes
+                .iter()
+                .filter(|(_, n)| keep_node(n))
+                .map(|(k, n)| (k, n.clone()))
+                .collect(),
+            links: self
+                .links
+                .iter()
+                .filter(|(_, l)| keep_link(l))
+                .map(|(k, l)| (k, l.clone()))
+                .collect(),
+            attr_table: self.attr_table.clone(),
+            graph_demons: DemonTable::new(),
+            graph_versions: Pam::new(),
+            value_index: ValueIndex::new(),
+            temporal_index: TemporalIndex::new(),
+        };
+        graph.rebuild_value_index();
+        graph.rebuild_temporal_index();
+        graph
     }
 
     // ----- structural mutation -----
@@ -476,12 +517,14 @@ impl HamGraph {
 
     /// Record a graph-level version entry.
     pub fn record_graph_version(&mut self, time: Time, explanation: &str) {
-        self.graph_versions.push(Version::new(time, explanation));
+        let next = self.graph_versions.len() as u64;
+        self.graph_versions
+            .insert(next, Version::new(time, explanation));
     }
 
-    /// The graph's version history.
-    pub fn graph_versions(&self) -> &[Version] {
-        &self.graph_versions
+    /// The graph's version history, oldest first.
+    pub fn graph_versions(&self) -> impl Iterator<Item = &Version> {
+        (0..self.graph_versions.len() as u64).filter_map(|k| self.graph_versions.get(k))
     }
 
     /// Roll back the entire graph to logical time `time`, discarding all
@@ -498,7 +541,14 @@ impl HamGraph {
         });
         self.attr_table.truncate_after(time);
         self.graph_demons.truncate_after(time);
-        self.graph_versions.retain(|v| v.time <= time);
+        if self.graph_versions.values().any(|v| v.time > time) {
+            let kept: Vec<Version> = self
+                .graph_versions()
+                .filter(|v| v.time <= time)
+                .cloned()
+                .collect();
+            self.graph_versions = indexed(kept);
+        }
         self.clock = time.0;
         self.next_node = self.nodes.keys().map(|n| n + 1).max().unwrap_or(1);
         self.next_link = self.links.keys().map(|l| l + 1).max().unwrap_or(1);
@@ -557,6 +607,11 @@ impl HamGraph {
     }
 }
 
+/// Key `versions` by their position, the layout of `graph_versions`.
+fn indexed(versions: impl IntoIterator<Item = Version>) -> Pam<Version> {
+    (0u64..).zip(versions).collect()
+}
+
 /// Count objects a historical read skipped thanks to the temporal index.
 fn observe_temporal_pruned(pruned: usize) {
     if pruned == 0 || !neptune_obs::enabled() {
@@ -590,7 +645,11 @@ impl Encode for HamGraph {
         }
         self.attr_table.encode(w);
         self.graph_demons.encode(w);
-        encode_seq(&self.graph_versions, w);
+        // The same bytes `encode_seq` writes for a `Vec<Version>`.
+        w.put_u64(self.graph_versions.len() as u64);
+        for v in self.graph_versions() {
+            v.encode(w);
+        }
     }
 }
 
@@ -623,7 +682,7 @@ impl Decode for HamGraph {
             links,
             attr_table: AttributeTable::decode(r)?,
             graph_demons: DemonTable::decode(r)?,
-            graph_versions: decode_seq(r)?,
+            graph_versions: indexed(decode_seq(r)?),
             value_index: ValueIndex::new(),
             temporal_index: TemporalIndex::new(),
         };
@@ -798,6 +857,33 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn graph_versions_are_shared_by_clones_and_encode_as_a_sequence() {
+        let mut g = HamGraph::new(ProjectId(1));
+        for t in 2..=40 {
+            g.set_clock(Time(t));
+            g.record_graph_version(Time(t), "context merged");
+        }
+        let snapshot = g.clone();
+        g.record_graph_version(g.now(), "later");
+        assert_eq!(snapshot.graph_versions().count(), 40);
+        assert_eq!(g.graph_versions().count(), 41);
+        // Snapshot format: the bytes `encode_seq` gives a `Vec<Version>`.
+        let expected: Vec<Version> = snapshot.graph_versions().cloned().collect();
+        assert_eq!(expected[0].explanation, "graph created");
+        let mut w = Writer::new();
+        neptune_storage::codec::encode_seq(&expected, &mut w);
+        assert!(snapshot.to_bytes().ends_with(w.as_slice()));
+        assert_eq!(
+            HamGraph::from_bytes(&snapshot.to_bytes()).unwrap(),
+            snapshot
+        );
+        // Rollback drops the versions recorded after the target time.
+        g.truncate_after(Time(20));
+        let times: Vec<Time> = g.graph_versions().map(|v| v.time).collect();
+        assert_eq!(times, (1..=20).map(Time).collect::<Vec<_>>());
     }
 
     #[test]

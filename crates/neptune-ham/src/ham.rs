@@ -1391,9 +1391,10 @@ impl Ham {
     // shard — per-shard recovery stays independent ("recovery fan-in" is
     // simply opening every shard).
 
-    /// A read-only export of `context`'s graph and clock, cloned O(changes)
-    /// thanks to the persistent node/link tries. The coordinator hands it
-    /// to another shard's [`Ham::adopt_context`] or [`Ham::merge_foreign`].
+    /// A read-only export of `context`'s graph and clock. The node, link
+    /// and graph-version maps are persistent tries, so the clone shares
+    /// them and copies only the small per-graph tables. The coordinator
+    /// hands it to another shard's [`Ham::adopt_context`].
     pub(crate) fn export_graph(&self, context: ContextId) -> Result<(HamGraph, Time)> {
         let thread = self.thread(context)?;
         Ok((thread.graph.clone(), thread.graph.now()))

@@ -16,11 +16,12 @@
 //!   every commit record, totally ordering commits across shards without
 //!   coordinating them.
 //! * **Cross-shard transactions** (fork onto / merge from another shard)
-//!   — the minority path: shard locks are taken in ascending index order
-//!   (= ascending lockcheck rank, so inversions panic in debug builds),
-//!   both halves stamp the *same* forced sequence, and the pair is noted
-//!   in a small in-memory [`CrossLog`] so readers can detect half-visible
-//!   pairs.
+//!   — the minority path. A fork clones the parent under the parent
+//!   shard's lock alone and commits on the child shard alone. A merge
+//!   takes both shard locks in ascending index order (= ascending
+//!   lockcheck rank, so inversions panic in debug builds), both halves
+//!   stamp the *same* forced sequence, and the pair is noted in a small
+//!   in-memory [`CrossLog`] so readers can detect half-visible pairs.
 //! * **Consistent multi-shard reads** — [`ShardedHam::multi_view`]
 //!   assembles a vector of per-shard published views and retries (bounded,
 //!   counted) whenever the cross log shows a sequence published on one
@@ -35,7 +36,7 @@
 //! prefix a single-shard crash would leave — and the cross log is rebuilt
 //! empty on open, so readers see a consistent (if torn-in-history) pair.
 //! This is the documented trade for independent per-shard commit paths
-//! (DESIGN.md §13).
+//! (DESIGN.md §12).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -47,7 +48,7 @@ use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
 use neptune_storage::vcache::CacheStats;
 use neptune_storage::vfs::{StdVfs, Vfs};
 
-use crate::context::{ConflictPolicy, MergeReport};
+use crate::context::{merge_footprint, ConflictPolicy, MergeReport};
 use crate::demons::DemonFireInfo;
 use crate::error::{HamError, Result};
 use crate::ham::Ham;
@@ -475,30 +476,25 @@ impl ShardedHam {
             count_shard_commit(parent_shard);
             return Ok(id);
         }
-        // Cross-shard fork: export the parent graph under both locks, then
-        // adopt it on the child shard. Only the child shard commits, so no
-        // cross-log entry is needed — there is no pair to tear.
-        let locks: BTreeSet<usize> = [parent_shard, child_shard].into_iter().collect();
-        let mut guards = self.lock_ascending(&locks);
-        let (graph, fork_time) = {
-            let parent = guards
-                .iter()
-                .find(|(k, _)| *k == parent_shard)
-                .expect("parent shard locked");
-            parent.1.export_graph(from)?
-        };
-        let child = guards
-            .iter_mut()
-            .find(|(k, _)| *k == child_shard)
-            .expect("child shard locked");
+        // Cross-shard fork: clone the parent graph (O(1) — persistent
+        // tries) under the parent shard's lock alone, release it, then
+        // adopt the clone on the child shard. The encode, WAL append and
+        // fsync all run under the child shard's lock, so forks and merges
+        // on the parent shard do not wait behind them. The two locks are
+        // never held together; a parent destroyed in between leaves the
+        // child partitioned, exactly as destroying it a moment after the
+        // fork would. Only the child shard commits, so no cross-log entry
+        // is needed — there is no pair to tear.
+        let (graph, fork_time) = self.lock_shard(parent_shard).export_graph(from)?;
+        let mut child = self.lock_shard(child_shard);
         // Join the open explicit transaction, if any. Only the child shard
         // writes (the parent is just read), so only it joins — the adopted
         // context then commits or rolls back with the logical transaction,
         // exactly as a fork inside a transaction does on the unsharded
         // machine. The commit counters move to commit_transaction in that
         // case, where the deferred work actually becomes durable.
-        let deferred = self.join_txn(child_shard, &mut child.1)?;
-        child.1.adopt_context(id, from, fork_time, graph)?;
+        let deferred = self.join_txn(child_shard, &mut child)?;
+        child.adopt_context(id, from, fork_time, graph)?;
         if !deferred {
             count_metric("neptune_ham_cross_shard_txns_total");
             count_shard_commit(child_shard);
@@ -515,14 +511,16 @@ impl ShardedHam {
     /// resolves the merge with everything else.
     pub fn merge_context(&self, child: ContextId, policy: ConflictPolicy) -> Result<MergeReport> {
         let child_shard = self.shard_of(child);
-        let (parent, fork_time) = {
-            let guard = self.lock_shard(child_shard);
-            guard
-                .context_forked_from(child)?
-                .ok_or(HamError::TransactionState {
-                    reason: "cannot merge the main context",
-                })?
-        };
+        // Unlocked peek, only to find the parent and so the lock set. The
+        // parent context itself can never change (merges re-fork from the
+        // same parent), so the lock set stays valid; the fork time can, so
+        // it is read again under both locks below.
+        let (parent, _) = self
+            .lock_shard(child_shard)
+            .context_forked_from(child)?
+            .ok_or(HamError::TransactionState {
+                reason: "cannot merge the main context",
+            })?;
         let parent_shard = self.shard_of(parent);
         if parent_shard == child_shard {
             let mut guard = self.lock_home(child)?;
@@ -532,27 +530,30 @@ impl ShardedHam {
         }
         let locks: BTreeSet<usize> = [parent_shard, child_shard].into_iter().collect();
         let mut guards = self.lock_ascending(&locks);
-        // Re-read under both locks: a concurrent merge may have advanced
-        // the fork time between the peek above and taking the locks. The
-        // parent context itself can never change (merges re-fork from the
-        // same parent), so the lock set stays valid.
-        let (_, fork_time) = {
+        // The merge and its WAL record see only the part of the child the
+        // merge acts on (context::merge_footprint), not the whole graph.
+        let (fork_time, child_export) = {
             let child_g = guards
                 .iter()
                 .find(|(k, _)| *k == child_shard)
                 .expect("child shard locked");
-            let from = child_g.1.context_forked_from(child)?;
-            let _ = fork_time;
-            from.ok_or(HamError::TransactionState {
-                reason: "cannot merge the main context",
-            })?
-        };
-        let child_export = {
-            let child_g = guards
+            let parent_g = guards
                 .iter()
-                .find(|(k, _)| *k == child_shard)
-                .expect("child shard locked");
-            child_g.1.export_graph(child)?.0
+                .find(|(k, _)| *k == parent_shard)
+                .expect("parent shard locked");
+            let (_, fork_time) =
+                child_g
+                    .1
+                    .context_forked_from(child)?
+                    .ok_or(HamError::TransactionState {
+                        reason: "cannot merge the main context",
+                    })?;
+            let footprint = merge_footprint(
+                parent_g.1.graph(parent)?,
+                child_g.1.graph(child)?,
+                fork_time,
+            );
+            (fork_time, footprint)
         };
         // An open explicit transaction absorbs the merge instead of the
         // immediate two-phase commit below: both shards join it, the two

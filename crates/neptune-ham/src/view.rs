@@ -431,9 +431,10 @@ impl CommittedView {
             generation,
             shard,
             directory,
-            // O(changes), not O(graph): HamGraph's node/link maps are
-            // persistent tries, so this clone is Arc bumps plus the small
-            // per-graph scalar state.
+            // Not O(graph): HamGraph's node, link and graph-version maps
+            // are persistent tries, so this clone is Arc bumps plus the
+            // small per-graph tables (attribute names, demons, the
+            // creation-time index).
             threads: threads.clone(),
             vcache,
             published_at: Instant::now(),

@@ -136,11 +136,11 @@ pub fn attributes_relation(ham: &Ham, context: ContextId, time: Time) -> Result<
 mod tests {
     use super::*;
     use neptune_ham::types::{LinkPt, Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn fixture() -> Ham {
-        let dir = std::env::temp_dir().join(format!("neptune-rel-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn fixture() -> (TempDir, Ham) {
+        let dir = TempDir::new("neptune-rel");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let doc = ham.get_attribute_index(MAIN_CONTEXT, "document").unwrap();
         let rel = ham.get_attribute_index(MAIN_CONTEXT, "relation").unwrap();
         let (a, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
@@ -157,12 +157,12 @@ mod tests {
             .unwrap();
         ham.set_link_attribute_value(MAIN_CONTEXT, l, rel, Value::str("isPartOf"))
             .unwrap();
-        ham
+        (dir, ham)
     }
 
     #[test]
     fn nodes_relation_has_attr_columns() {
-        let ham = fixture();
+        let (_dir, ham) = fixture();
         let r = nodes_relation(&ham, MAIN_CONTEXT, Time::CURRENT, &["document"]).unwrap();
         assert_eq!(r.schema(), &["node", "document"]);
         assert_eq!(r.len(), 3);
@@ -172,14 +172,14 @@ mod tests {
 
     #[test]
     fn nodes_missing_attrs_are_omitted() {
-        let ham = fixture();
+        let (_dir, ham) = fixture();
         let r = nodes_relation(&ham, MAIN_CONTEXT, Time::CURRENT, &["document", "ghost"]).unwrap();
         assert!(r.is_empty());
     }
 
     #[test]
     fn links_relation_joins_with_nodes() {
-        let ham = fixture();
+        let (_dir, ham) = fixture();
         let links = links_relation(&ham, MAIN_CONTEXT, Time::CURRENT, &["relation"]).unwrap();
         assert_eq!(links.len(), 1);
         // Join: which documents do structural links point into?
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn attributes_relation_unpivots() {
-        let ham = fixture();
+        let (_dir, ham) = fixture();
         let r = attributes_relation(&ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         assert_eq!(r.len(), 3); // three document attributes (link attrs excluded)
         let spec = r.select_eq("value", &Value::str("spec")).unwrap();
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn relations_respect_time() {
-        let mut ham = fixture();
+        let (_dir, mut ham) = fixture();
         let t_then = ham.graph(MAIN_CONTEXT).unwrap().now();
         let (extra, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
         let doc = ham.get_attribute_index(MAIN_CONTEXT, "document").unwrap();

@@ -153,11 +153,11 @@ mod tests {
     use super::*;
     use neptune_case::{parse_module, CaseProject};
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
+    use neptune_storage::testutil::TempDir;
 
-    fn fixture() -> Ham {
-        let dir = std::env::temp_dir().join(format!("neptune-xref-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
+    fn fixture() -> (TempDir, Ham) {
+        let dir = TempDir::new("neptune-xref");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         let project = CaseProject::new(MAIN_CONTEXT);
         let lists =
             parse_module("DEFINITION MODULE Lists;\nPROCEDURE Insert;\nEND Insert;\nEND Lists.\n")
@@ -181,12 +181,12 @@ mod tests {
         let doc = ham.get_attribute_index(MAIN_CONTEXT, "document").unwrap();
         ham.set_node_attribute_value(MAIN_CONTEXT, docnode, doc, Value::str("design"))
             .unwrap();
-        ham
+        (dir, ham)
     }
 
     #[test]
     fn definitions_are_extracted_from_source() {
-        let mut ham = fixture();
+        let (_dir, mut ham) = fixture();
         let xref = build_xref(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         let symbols: Vec<String> = xref
             .defs
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn paper_query_spans_code_and_documentation() {
-        let mut ham = fixture();
+        let (_dir, mut ham) = fixture();
         let xref = build_xref(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         let hits = xref.references_to("Insert").unwrap();
         let kinds: Vec<String> = hits
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn join_adds_document_context() {
-        let mut ham = fixture();
+        let (_dir, mut ham) = fixture();
         let xref = build_xref(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         let hits = xref
             .references_with_context(&ham, MAIN_CONTEXT, Time::CURRENT, "Insert", &["document"])
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn definition_site_does_not_reference_itself() {
-        let mut ham = fixture();
+        let (_dir, mut ham) = fixture();
         let xref = build_xref(&mut ham, MAIN_CONTEXT, Time::CURRENT).unwrap();
         // "Run" is defined in Main's procedure node and referenced nowhere else
         // except possibly the module node's text (which excludes procedures).

@@ -1,7 +1,19 @@
 //! Scripted shell sessions: each test drives the interpreter the way a
 //! user at the REPL would and asserts on the rendered output.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use neptune_shell::{Shell, ShellError};
+
+/// Every command records a trace in the process-global flight recorder,
+/// and `obs off` flips the process-global kill-switch, so the tests in
+/// this file take turns: otherwise a sibling's commands can evict the
+/// trace one test just listed before it looks that trace up, or switch
+/// tracing off under it.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fresh(name: &str) -> Shell {
     let dir = std::env::temp_dir().join(format!("neptune-shell-{name}-{}", std::process::id()));
@@ -23,6 +35,7 @@ fn run(shell: &mut Shell, commands: &[&str]) -> Vec<String> {
 
 #[test]
 fn create_edit_and_browse() {
+    let _serial = serial();
     let mut shell = fresh("basic");
     let out = run(
         &mut shell,
@@ -45,6 +58,7 @@ fn create_edit_and_browse() {
 
 #[test]
 fn linking_following_and_trails() {
+    let _serial = serial();
     let mut shell = fresh("trails");
     run(
         &mut shell,
@@ -70,6 +84,7 @@ fn linking_following_and_trails() {
 
 #[test]
 fn queries_and_attribute_browser() {
+    let _serial = serial();
     let mut shell = fresh("query");
     run(
         &mut shell,
@@ -90,6 +105,7 @@ fn queries_and_attribute_browser() {
 
 #[test]
 fn transactions_roll_back_from_the_shell() {
+    let _serial = serial();
     let mut shell = fresh("txn");
     run(&mut shell, &["new", "edit keep me"]);
     let out = run(
@@ -101,6 +117,7 @@ fn transactions_roll_back_from_the_shell() {
 
 #[test]
 fn contexts_from_the_shell() {
+    let _serial = serial();
     let mut shell = fresh("ctx");
     run(&mut shell, &["new", "edit mainline text", "set icon Doc"]);
     let forked = run(&mut shell, &["fork"]);
@@ -125,6 +142,7 @@ fn contexts_from_the_shell() {
 
 #[test]
 fn diff_between_versions() {
+    let _serial = serial();
     let mut shell = fresh("diff");
     run(&mut shell, &["new", "edit alpha"]);
     // Find the time of version 1 from history output.
@@ -146,6 +164,7 @@ fn diff_between_versions() {
 
 #[test]
 fn relational_views_from_the_shell() {
+    let _serial = serial();
     let mut shell = fresh("sql");
     run(
         &mut shell,
@@ -159,6 +178,7 @@ fn relational_views_from_the_shell() {
 
 #[test]
 fn errors_are_messages_not_crashes() {
+    let _serial = serial();
     let mut shell = fresh("errors");
     assert!(matches!(shell.execute("bogus"), Err(ShellError::Usage(_))));
     assert!(matches!(
@@ -174,6 +194,7 @@ fn errors_are_messages_not_crashes() {
 
 #[test]
 fn reopen_preserves_session_work() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("neptune-shell-reopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -187,6 +208,7 @@ fn reopen_preserves_session_work() {
 
 #[test]
 fn read_command_times_batched_reads() {
+    let _serial = serial();
     let mut shell = fresh("read");
     let out = run(
         &mut shell,
@@ -211,15 +233,18 @@ fn read_command_times_batched_reads() {
 
 #[test]
 fn trace_and_obs_commands_drive_the_flight_recorder() {
+    let _serial = serial();
     let mut shell = fresh("trace");
     run(&mut shell, &["new", "edit traced line", "cat"]);
     // Each completed command line above is one trace in the recorder.
     let listing = shell.execute("trace").unwrap();
     assert!(listing.contains("shell.command"), "{listing}");
-    // Pull an id back out of the listing and render its span tree.
+    // Pull an id back out of the listing and render its span tree. Take
+    // the newest: once the recent ring is full, the listing command's own
+    // trace, recorded as it returns, evicts the oldest one listed.
     let id = listing
         .split_whitespace()
-        .find(|w| w.len() == 17 && w.starts_with('t'))
+        .rfind(|w| w.len() == 17 && w.starts_with('t'))
         .expect("listing shows trace ids")
         .to_string();
     let tree = shell.execute(&format!("trace {id}")).unwrap();

@@ -1,9 +1,53 @@
-//! Deterministic pseudo-randomness for tests and benchmarks.
+//! Test helpers: deterministic pseudo-randomness and private temp dirs.
 //!
 //! The workspace builds with no external crates, so randomized tests and
 //! workload generators use this small xorshift64* generator instead of
 //! `rand`. It is seeded explicitly, making every "random" run reproducible
-//! from its seed.
+//! from its seed. [`TempDir`] stands in for the `tempfile` crate.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::vfs::{StdVfs, Vfs};
+
+/// A directory path under the system temp dir that no other `TempDir` in
+/// any live process shares (process id plus a per-process counter), so
+/// tests running in parallel threads never remove each other's stores.
+/// The directory itself is not created — stores create their own — and it
+/// is removed, with everything in it, when the `TempDir` drops.
+#[derive(Debug)]
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// A fresh path named `<prefix>-<pid>-<n>`. A leftover directory of
+    /// that name (from a crashed process that had the same pid) is removed.
+    pub fn new(prefix: &str) -> TempDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+        let _ = StdVfs.remove_dir_all(&path);
+        TempDir { path }
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = StdVfs.remove_dir_all(&self.path);
+    }
+}
 
 /// A xorshift64* pseudo-random generator (Vigna, 2016).
 ///
@@ -68,6 +112,18 @@ impl XorShift {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn temp_dirs_are_distinct_and_removed_on_drop() {
+        let a = TempDir::new("neptune-testutil");
+        let b = TempDir::new("neptune-testutil");
+        assert_ne!(a.path(), b.path());
+        std::fs::create_dir_all(a.path().join("nested")).unwrap();
+        std::fs::write(a.path().join("nested/file"), b"x").unwrap();
+        let kept = a.path().to_path_buf();
+        drop(a);
+        assert!(!kept.exists());
+    }
 
     #[test]
     fn deterministic_per_seed() {
