@@ -91,6 +91,15 @@ NEPTUNE_BENCH_SMOKE=1 NEPTUNE_BENCH_GUARD=1 \
 NEPTUNE_METRICS_OUT="$PWD/METRICS_snapshot.prom" \
     cargo run --example metrics_smoke
 
+# The end-to-end benchmark package (outside the workspace): its unit
+# tests, then a 3-second private_worlds smoke run. The run verifies the
+# stopped store (verify_store) and reads back every acknowledged version,
+# exiting non-zero on any mismatch or failed operation; its figures are
+# not gated here.
+cargo test --manifest-path perfbench/Cargo.toml
+cargo run --release --manifest-path perfbench/Cargo.toml -- \
+    --workload private_worlds --seed 1 --seconds 3 --trace 0
+
 # Sanitizer passes — nightly-only, so they run as dedicated jobs in
 # .github/workflows/ci.yml and are opt-in here (the default toolchain on
 # dev machines is stable). NEPTUNE_CI_NIGHTLY=1 requires a nightly with

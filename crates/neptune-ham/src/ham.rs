@@ -1083,9 +1083,12 @@ impl Ham {
     /// coordinator-forced one for cross-shard transactions); the sequence
     /// becomes `last_seq` — and visible to readers — only once durable.
     fn log_txn(&mut self, txn: &ActiveTxn) -> neptune_storage::Result<()> {
-        self.wal.append(txn.id, RecordKind::Begin, Vec::new())?;
+        self.wal.append_with(txn.id, RecordKind::Begin, |_| {})?;
         for op in &txn.redo {
-            self.wal.append(txn.id, RecordKind::Op, op.to_bytes())?;
+            // Encoded straight into the log's reused buffer: a graph-carrying
+            // op's graph is encoded here, once.
+            self.wal
+                .append_with(txn.id, RecordKind::Op, |w| op.encode(w))?;
         }
         let seq = match self.forced_seq.take() {
             Some(seq) => seq,
@@ -1386,10 +1389,10 @@ impl Ham {
     // Cross-shard context surgery (driven by `crate::shard::ShardedHam`)
     // =====================================================================
     //
-    // Each op is journaled with enough state (including encoded foreign
-    // graphs) that this shard's WAL replays without consulting any other
-    // shard — per-shard recovery stays independent ("recovery fan-in" is
-    // simply opening every shard).
+    // Each op is journaled with enough state (including foreign graphs,
+    // encoded when the transaction commits) that this shard's WAL replays
+    // without consulting any other shard — per-shard recovery stays
+    // independent ("recovery fan-in" is simply opening every shard).
 
     /// A read-only export of `context`'s graph and clock. The node, link
     /// and graph-version maps are persistent tries, so the clone shares
@@ -1417,10 +1420,15 @@ impl Ham {
                     reason: "context id already in use",
                 });
             }
-            let mut gw = Writer::new();
-            graph.encode(&mut gw);
-            let encoded = gw.into_bytes();
             ham.next_context = ham.next_context.max(id.0 + 1);
+            // The record keeps an O(1) persistent clone; it is encoded
+            // when the transaction commits, straight into the log.
+            ham.push_redo(RedoOp::AdoptContext {
+                id,
+                from,
+                time,
+                graph: graph.clone(),
+            });
             ham.threads.insert(
                 id,
                 GraphThread {
@@ -1431,12 +1439,6 @@ impl Ham {
             if let Some(txn) = &mut ham.txn {
                 txn.created_contexts.push(id);
             }
-            ham.push_redo(RedoOp::AdoptContext {
-                id,
-                from,
-                time,
-                graph: encoded,
-            });
             Ok(())
         })
     }
@@ -1447,7 +1449,7 @@ impl Ham {
     pub(crate) fn merge_foreign(
         &mut self,
         into: ContextId,
-        child_graph: &HamGraph,
+        child_graph: HamGraph,
         fork_time: Time,
         policy: ConflictPolicy,
     ) -> Result<MergeReport> {
@@ -1455,19 +1457,17 @@ impl Ham {
         self.auto_txn(|ham| {
             ham.note_context(into)?;
             let parent = ham.graph_mut(into)?;
-            let report = merge_context(parent, child_graph, fork_time, policy)?;
+            let report = merge_context(parent, &child_graph, fork_time, policy)?;
             if neptune_obs::enabled() && !report.conflicts.is_empty() {
                 neptune_obs::registry()
                     .counter("neptune_ham_merge_conflicts_total")
                     .add(report.conflicts.len() as u64);
             }
-            let mut gw = Writer::new();
-            child_graph.encode(&mut gw);
             ham.push_redo(RedoOp::MergeForeign {
                 into,
                 policy: policy.to_tag(),
                 fork_time,
-                graph: gw.into_bytes(),
+                graph: child_graph,
             });
             // Merges only append at fresh parent clock ticks, so resolved
             // historical keys stay valid; the invalidation drops now-stale
@@ -2024,10 +2024,8 @@ impl Ham {
                 time,
                 graph,
             } => {
-                // The record carries the encoded parent graph, so replay
-                // never consults the (foreign) parent shard.
-                let mut r = Reader::new(&graph);
-                let graph = HamGraph::decode(&mut r)?;
+                // The record carries the parent graph, so replay never
+                // consults the (foreign) parent shard.
                 self.next_context = self.next_context.max(id.0 + 1);
                 self.threads.insert(
                     id,
@@ -2043,12 +2041,10 @@ impl Ham {
                 fork_time,
                 graph,
             } => {
-                let mut r = Reader::new(&graph);
-                let child_graph = HamGraph::decode(&mut r)?;
                 let parent = self.graph_mut(into)?;
                 merge_context(
                     parent,
-                    &child_graph,
+                    &graph,
                     fork_time,
                     ConflictPolicy::from_tag(policy).unwrap_or_default(),
                 )?;
@@ -2311,11 +2307,10 @@ fn apply_modify_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neptune_storage::testutil::TempDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-ham-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(name: &str) -> TempDir {
+        TempDir::new(&format!("neptune-ham-{name}"))
     }
 
     #[test]
@@ -2333,9 +2328,10 @@ mod tests {
         ));
     }
 
-    fn fresh(name: &str) -> (Ham, ContextId) {
-        let (ham, _, _) = Ham::create_graph(tmpdir(name), Protections::DEFAULT).unwrap();
-        (ham, MAIN_CONTEXT)
+    fn fresh(name: &str) -> (TempDir, Ham, ContextId) {
+        let dir = tmpdir(name);
+        let (ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
+        (dir, ham, MAIN_CONTEXT)
     }
 
     #[test]
@@ -2353,12 +2349,12 @@ mod tests {
             Err(HamError::ProjectMismatch { .. })
         ));
         Ham::destroy_graph(pid, &dir).unwrap();
-        assert!(!dir.exists());
+        assert!(!dir.path().exists());
     }
 
     #[test]
     fn node_roundtrip_with_versions() {
-        let (mut ham, ctx) = fresh("node-rt");
+        let (_dir, mut ham, ctx) = fresh("node-rt");
         let (n, t0) = ham.add_node(ctx, true).unwrap();
         let opened = ham.open_node(ctx, n, Time::CURRENT, &[]).unwrap();
         assert!(opened.contents.is_empty());
@@ -2391,7 +2387,7 @@ mod tests {
 
     #[test]
     fn links_and_attachment_motion() {
-        let (mut ham, ctx) = fresh("links");
+        let (_dir, mut ham, ctx) = fresh("links");
         let (a, ta) = ham.add_node(ctx, true).unwrap();
         let (b, _) = ham.add_node(ctx, true).unwrap();
         ham.modify_node(ctx, a, ta, b"0123456789".to_vec(), &[])
@@ -2433,7 +2429,7 @@ mod tests {
 
     #[test]
     fn copy_link_shares_one_end() {
-        let (mut ham, ctx) = fresh("copylink");
+        let (_dir, mut ham, ctx) = fresh("copylink");
         let (a, t) = ham.add_node(ctx, true).unwrap();
         ham.modify_node(ctx, a, t, b"source\n".to_vec(), &[])
             .unwrap();
@@ -2462,7 +2458,7 @@ mod tests {
 
     #[test]
     fn attributes_via_facade() {
-        let (mut ham, ctx) = fresh("attrs");
+        let (_dir, mut ham, ctx) = fresh("attrs");
         let (n, _) = ham.add_node(ctx, true).unwrap();
         let doc = ham.get_attribute_index(ctx, "document").unwrap();
         assert_eq!(ham.get_attribute_index(ctx, "document").unwrap(), doc);
@@ -2488,7 +2484,7 @@ mod tests {
 
     #[test]
     fn explicit_transaction_commit_and_abort() {
-        let (mut ham, ctx) = fresh("txn");
+        let (_dir, mut ham, ctx) = fresh("txn");
         let (keep, tk) = ham.add_node(ctx, true).unwrap();
         ham.modify_node(ctx, keep, tk, b"kept\n".to_vec(), &[])
             .unwrap();
@@ -2589,7 +2585,7 @@ mod tests {
 
     #[test]
     fn demons_fire_with_parameters() {
-        let (mut ham, ctx) = fresh("demons");
+        let (_dir, mut ham, ctx) = fresh("demons");
         let (n, _) = ham.add_node(ctx, true).unwrap();
         ham.set_graph_demon_value(
             ctx,
@@ -2627,7 +2623,7 @@ mod tests {
     fn callback_demons_dispatch() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        let (mut ham, ctx) = fresh("callbacks");
+        let (_dir, mut ham, ctx) = fresh("callbacks");
         let count = Arc::new(AtomicU64::new(0));
         let count2 = count.clone();
         ham.register_demon_callback("counter", move |info| {
@@ -2663,7 +2659,7 @@ mod tests {
 
     #[test]
     fn demon_versions_are_queryable() {
-        let (mut ham, ctx) = fresh("demonver");
+        let (_dir, mut ham, ctx) = fresh("demonver");
         ham.set_graph_demon_value(ctx, Event::NodeAdded, Some(DemonSpec::notify("v1", "a")))
             .unwrap();
         let t1 = ham.graph(ctx).unwrap().now();
@@ -2677,7 +2673,7 @@ mod tests {
 
     #[test]
     fn contexts_fork_and_merge() {
-        let (mut ham, main) = fresh("contexts");
+        let (_dir, mut ham, main) = fresh("contexts");
         let (n, t0) = ham.add_node(main, true).unwrap();
         ham.modify_node(main, n, t0, b"main line\n".to_vec(), &[])
             .unwrap();
@@ -2752,7 +2748,7 @@ mod tests {
 
     #[test]
     fn abort_rolls_back_context_operations() {
-        let (mut ham, main) = fresh("ctx-abort");
+        let (_dir, mut ham, main) = fresh("ctx-abort");
         ham.begin_transaction().unwrap();
         let private = ham.create_context(main).unwrap();
         ham.add_node(private, true).unwrap();
@@ -2769,7 +2765,7 @@ mod tests {
 
     #[test]
     fn queries_via_facade() {
-        let (mut ham, ctx) = fresh("queries");
+        let (_dir, mut ham, ctx) = fresh("queries");
         let doc = ham.get_attribute_index(ctx, "document").unwrap();
         let (root, _) = ham.add_node(ctx, true).unwrap();
         let (child, _) = ham.add_node(ctx, true).unwrap();
@@ -2804,7 +2800,7 @@ mod tests {
 
     #[test]
     fn protections_apply_at_checkpoint() {
-        let (mut ham, ctx) = fresh("protections");
+        let (_dir, mut ham, ctx) = fresh("protections");
         let (n, t0) = ham.add_node(ctx, true).unwrap();
         ham.modify_node(ctx, n, t0, b"guarded\n".to_vec(), &[])
             .unwrap();
@@ -2829,7 +2825,7 @@ mod tests {
 
     #[test]
     fn read_only_ops_write_nothing_to_wal() {
-        let (mut ham, ctx) = fresh("readonly");
+        let (_dir, mut ham, ctx) = fresh("readonly");
         let (n, _) = ham.add_node(ctx, true).unwrap();
         let wal_len_before = std::fs::metadata(ham.directory().join(WAL_FILE))
             .unwrap()

@@ -313,12 +313,10 @@ mod tests {
     use crate::types::{LinkPt, NodeIndex, ProjectId, Protections, MAIN_CONTEXT};
     use crate::value::Value;
     use neptune_storage::codec::{Decode, Encode, Writer};
+    use neptune_storage::testutil::TempDir;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("neptune-invariants-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(name: &str) -> TempDir {
+        TempDir::new(&format!("neptune-invariants-{name}"))
     }
 
     #[test]

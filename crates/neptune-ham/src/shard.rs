@@ -574,7 +574,7 @@ impl ShardedHam {
                     .expect("parent shard locked");
                 parent_g
                     .1
-                    .merge_foreign(parent, &child_export, fork_time, policy)?
+                    .merge_foreign(parent, child_export, fork_time, policy)?
             };
             let new_fork = {
                 let parent_g = guards
@@ -602,17 +602,16 @@ impl ShardedHam {
                 .expect("parent shard locked");
             (|| {
                 parent_g.1.begin_transaction()?;
-                let report =
-                    match parent_g
-                        .1
-                        .merge_foreign(parent, &child_export, fork_time, policy)
-                    {
-                        Ok(r) => r,
-                        Err(e) => {
-                            let _ = parent_g.1.abort_transaction();
-                            return Err(e);
-                        }
-                    };
+                let report = match parent_g
+                    .1
+                    .merge_foreign(parent, child_export, fork_time, policy)
+                {
+                    Ok(r) => r,
+                    Err(e) => {
+                        let _ = parent_g.1.abort_transaction();
+                        return Err(e);
+                    }
+                };
                 parent_g.1.force_commit_seq(seq);
                 parent_g.1.commit_transaction()?;
                 let new_fork = parent_g.1.graph(parent)?.now();
@@ -1029,11 +1028,10 @@ pub fn read_shard_count(vfs: &dyn Vfs, directory: &Path) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::types::Time;
+    use neptune_storage::testutil::TempDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-shard-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(name: &str) -> TempDir {
+        TempDir::new(&format!("neptune-shard-{name}"))
     }
 
     /// Fork enough contexts that at least one lands on every shard.

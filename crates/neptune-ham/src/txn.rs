@@ -25,6 +25,7 @@ use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Wri
 use neptune_storage::error::{Result as StorageResult, StorageError};
 
 use crate::demons::{DemonSpec, Event};
+use crate::graph::HamGraph;
 use crate::types::{
     decode_protections, ContextId, LinkIndex, LinkPt, NodeIndex, Protections, Time,
 };
@@ -205,9 +206,9 @@ pub enum RedoOp {
         id: ContextId,
     },
     /// A cross-shard `createContext`: this shard adopted a context whose
-    /// parent lives on another shard. The record carries the parent graph's
-    /// encoded bytes so replay of this shard's log is self-contained — the
-    /// parent shard's log is never consulted.
+    /// parent lives on another shard. The record carries the parent graph
+    /// so replay of this shard's log is self-contained — the parent shard's
+    /// log is never consulted.
     AdoptContext {
         /// The new context's id.
         id: ContextId,
@@ -215,12 +216,13 @@ pub enum RedoOp {
         from: ContextId,
         /// Fork time (in the parent's clock).
         time: Time,
-        /// Encoded [`crate::graph::HamGraph`] snapshot of the parent at the
-        /// fork point.
-        graph: Vec<u8>,
+        /// The parent's graph at the fork point: an O(1) persistent clone,
+        /// encoded once, straight into the log, when the transaction
+        /// commits.
+        graph: HamGraph,
     },
-    /// A cross-shard `mergeContext`, parent side: fold an encoded foreign
-    /// child graph into `into`. Self-contained for the same reason as
+    /// A cross-shard `mergeContext`, parent side: fold a foreign child
+    /// graph into `into`. Self-contained for the same reason as
     /// [`RedoOp::AdoptContext`].
     MergeForeign {
         /// The receiving (parent) context on this shard.
@@ -229,8 +231,10 @@ pub enum RedoOp {
         policy: u8,
         /// The child's fork time in the parent's clock.
         fork_time: Time,
-        /// Encoded [`crate::graph::HamGraph`] of the (foreign) child.
-        graph: Vec<u8>,
+        /// The part of the (foreign) child the merge acts on
+        /// ([`crate::context::merge_footprint`]), encoded at commit like
+        /// [`RedoOp::AdoptContext`]'s graph.
+        graph: HamGraph,
     },
     /// A cross-shard `mergeContext`, child side: after the parent shard
     /// folded the child in, re-fork the child at the parent's new clock.
@@ -268,26 +272,6 @@ impl RedoOp {
             RedoOp::RefixFork { .. } => 18,
         }
     }
-}
-
-fn encode_event(e: Event, w: &mut Writer) {
-    // Reuse DemonTable's tag scheme indirectly: Event::ALL index.
-    let tag = Event::ALL
-        .iter()
-        .position(|x| *x == e)
-        .expect("event in ALL") as u8;
-    w.put_u8(tag);
-}
-
-fn decode_event(r: &mut Reader<'_>) -> StorageResult<Event> {
-    let tag = r.get_u8()?;
-    Event::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(StorageError::InvalidTag {
-            context: "Event",
-            tag: tag as u64,
-        })
 }
 
 impl Encode for RedoOp {
@@ -337,7 +321,7 @@ impl Encode for RedoOp {
             } => {
                 context.encode(w);
                 id.encode(w);
-                w.put_bytes(contents);
+                contents.encode(w);
                 encode_seq(link_pts, w);
                 time.encode(w);
             }
@@ -405,7 +389,7 @@ impl Encode for RedoOp {
                 time,
             } => {
                 context.encode(w);
-                encode_event(*event, w);
+                event.encode(w);
                 demon.encode(w);
                 time.encode(w);
             }
@@ -418,7 +402,7 @@ impl Encode for RedoOp {
             } => {
                 context.encode(w);
                 node.encode(w);
-                encode_event(*event, w);
+                event.encode(w);
                 demon.encode(w);
                 time.encode(w);
             }
@@ -457,7 +441,7 @@ impl Encode for RedoOp {
                 id.encode(w);
                 from.encode(w);
                 time.encode(w);
-                w.put_bytes(graph);
+                w.put_nested(|w| graph.encode(w));
             }
             RedoOp::MergeForeign {
                 into,
@@ -468,7 +452,7 @@ impl Encode for RedoOp {
                 into.encode(w);
                 w.put_u8(*policy);
                 fork_time.encode(w);
-                w.put_bytes(graph);
+                w.put_nested(|w| graph.encode(w));
             }
             RedoOp::RefixFork { child, into, time } => {
                 child.encode(w);
@@ -477,6 +461,12 @@ impl Encode for RedoOp {
             }
         }
     }
+}
+
+/// Decode a graph that [`Writer::put_nested`] wrote as a length-prefixed
+/// byte string.
+fn decode_nested_graph(r: &mut Reader<'_>) -> StorageResult<HamGraph> {
+    HamGraph::decode(&mut Reader::new(r.get_bytes()?))
 }
 
 impl Decode for RedoOp {
@@ -545,14 +535,14 @@ impl Decode for RedoOp {
             },
             10 => RedoOp::SetGraphDemon {
                 context: ContextId::decode(r)?,
-                event: decode_event(r)?,
+                event: Event::decode(r)?,
                 demon: Option::<DemonSpec>::decode(r)?,
                 time: Time::decode(r)?,
             },
             11 => RedoOp::SetNodeDemon {
                 context: ContextId::decode(r)?,
                 node: NodeIndex::decode(r)?,
-                event: decode_event(r)?,
+                event: Event::decode(r)?,
                 demon: Option::<DemonSpec>::decode(r)?,
                 time: Time::decode(r)?,
             },
@@ -578,13 +568,13 @@ impl Decode for RedoOp {
                 id: ContextId::decode(r)?,
                 from: ContextId::decode(r)?,
                 time: Time::decode(r)?,
-                graph: r.get_bytes()?.to_vec(),
+                graph: decode_nested_graph(r)?,
             },
             17 => RedoOp::MergeForeign {
                 into: ContextId::decode(r)?,
                 policy: r.get_u8()?,
                 fork_time: Time::decode(r)?,
-                graph: r.get_bytes()?.to_vec(),
+                graph: decode_nested_graph(r)?,
             },
             18 => RedoOp::RefixFork {
                 child: ContextId::decode(r)?,
@@ -613,7 +603,7 @@ pub struct ActiveTxn {
     pub created_contexts: Vec<ContextId>,
     /// Contexts destroyed or merged inside this transaction, with their
     /// pre-transaction state (restored on abort).
-    pub saved_contexts: Vec<(ContextId, crate::graph::HamGraph)>,
+    pub saved_contexts: Vec<(ContextId, HamGraph)>,
     /// Fork points rewritten inside this transaction (by the cross-shard
     /// `RefixFork` path), with their pre-transaction values. Fork points
     /// are not clock-versioned, so abort must restore them explicitly.
@@ -644,6 +634,13 @@ impl ActiveTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ProjectId;
+
+    fn graph_with_a_node() -> HamGraph {
+        let mut g = HamGraph::new(ProjectId(4));
+        g.add_node(true);
+        g
+    }
 
     #[test]
     fn redo_ops_roundtrip() {
@@ -742,13 +739,13 @@ mod tests {
                 id: ContextId(9),
                 from: ContextId(4),
                 time: Time(20),
-                graph: vec![1, 2, 3, 4],
+                graph: HamGraph::new(ProjectId(3)),
             },
             RedoOp::MergeForeign {
                 into: ContextId(4),
                 policy: 2,
                 fork_time: Time(20),
-                graph: vec![5, 6, 7],
+                graph: graph_with_a_node(),
             },
             RedoOp::RefixFork {
                 child: ContextId(9),

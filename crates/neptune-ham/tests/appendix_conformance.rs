@@ -6,23 +6,24 @@
 use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::types::{LinkPt, Machine, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, Predicate, Value};
+use neptune_storage::testutil::TempDir;
 
 #[test]
 fn every_appendix_operation() {
-    let dir = std::env::temp_dir().join(format!("neptune-appendix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = TempDir::new("neptune-appendix");
+    let dir = tmp.path();
 
     // =====================================================================
     // A.1 Graph Operations
     // =====================================================================
 
     // createGraph: Directory × Protections → ProjectId × Time
-    let (ham, project_id, t_created) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
+    let (ham, project_id, t_created) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
     assert_eq!(t_created, Time(1));
 
     // openGraph: ProjectId × Machine × Directory → Context
     drop(ham);
-    let (mut ham, ctx) = Ham::open_graph(project_id, &Machine::local(), &dir).unwrap();
+    let (mut ham, ctx) = Ham::open_graph(project_id, &Machine::local(), dir).unwrap();
     assert_eq!(ctx, MAIN_CONTEXT);
 
     // addNode: Context × Boolean → NodeIndex × Time
@@ -348,6 +349,6 @@ fn every_appendix_operation() {
     // =====================================================================
     ham.checkpoint().unwrap();
     drop(ham);
-    Ham::destroy_graph(project_id, &dir).unwrap();
+    Ham::destroy_graph(project_id, dir).unwrap();
     assert!(!dir.exists());
 }

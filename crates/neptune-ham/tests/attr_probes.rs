@@ -13,12 +13,10 @@
 use neptune_ham::types::{Protections, Time, MAIN_CONTEXT};
 use neptune_ham::value::Value;
 use neptune_ham::Ham;
+use neptune_storage::testutil::TempDir;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("neptune-attr-probes-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("neptune-attr-probes-{name}"))
 }
 
 fn counter(name: &str) -> u64 {
@@ -28,7 +26,7 @@ fn counter(name: &str) -> u64 {
 /// Build one node whose `status` attribute has `depth` versions (one
 /// transaction, one fsync), returning the distinct historical times of
 /// those versions.
-fn deep_attr_ham(tag: &str, depth: usize) -> (Ham, Vec<Time>, std::path::PathBuf) {
+fn deep_attr_ham(tag: &str, depth: usize) -> (TempDir, Ham, Vec<Time>) {
     let dir = tmpdir(tag);
     let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
     let (node, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
@@ -41,7 +39,7 @@ fn deep_attr_ham(tag: &str, depth: usize) -> (Ham, Vec<Time>, std::path::PathBuf
     ham.commit_transaction().unwrap();
     let (_, minor) = ham.get_node_versions(MAIN_CONTEXT, node).unwrap();
     let times: Vec<Time> = minor.iter().map(|v| v.time).collect();
-    (ham, times, dir)
+    (dir, ham, times)
 }
 
 /// Mean probes per recorded get across `times.len()` historical lookups.
@@ -72,8 +70,8 @@ fn attr_point_gets_scale_sublinearly_with_history_depth() {
     assert!(neptune_obs::enabled(), "probe metrics require obs enabled");
     let shallow_depth = 128;
     let deep_depth = 8192; // 64x deeper
-    let (shallow, shallow_times, sdir) = deep_attr_ham("shallow", shallow_depth);
-    let (deep, deep_times, ddir) = deep_attr_ham("deep", deep_depth);
+    let (_sdir, shallow, shallow_times) = deep_attr_ham("shallow", shallow_depth);
+    let (_ddir, deep, deep_times) = deep_attr_ham("deep", deep_depth);
 
     // The histories must really be that deep — each set got its own clock
     // tick, so a coalescing bug can't silently trivialize the test.
@@ -111,6 +109,4 @@ fn attr_point_gets_scale_sublinearly_with_history_depth() {
 
     drop(shallow);
     drop(deep);
-    let _ = std::fs::remove_dir_all(&sdir);
-    let _ = std::fs::remove_dir_all(&ddir);
 }

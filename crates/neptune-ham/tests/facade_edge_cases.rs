@@ -3,16 +3,19 @@
 use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::types::{LinkPt, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, HamError, Predicate, Value};
+use neptune_storage::testutil::TempDir;
 
-fn fresh(name: &str) -> Ham {
-    let dir = std::env::temp_dir().join(format!("neptune-edge-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Ham::create_graph(dir, Protections::DEFAULT).unwrap().0
+fn fresh(name: &str) -> (TempDir, Ham) {
+    let dir = TempDir::new(&format!("neptune-edge-{name}"));
+    let ham = Ham::create_graph(dir.path(), Protections::DEFAULT)
+        .unwrap()
+        .0;
+    (dir, ham)
 }
 
 #[test]
 fn linearize_with_filtered_start_is_empty_not_error() {
-    let mut ham = fresh("filtered-start");
+    let (_dir, mut ham) = fresh("filtered-start");
     let (n, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let pred = Predicate::parse("exists(never_set)").unwrap();
     let sg = ham
@@ -32,7 +35,7 @@ fn linearize_with_filtered_start_is_empty_not_error() {
 
 #[test]
 fn open_node_before_creation_time_fails() {
-    let mut ham = fresh("before-creation");
+    let (_dir, mut ham) = fresh("before-creation");
     ham.add_node(MAIN_CONTEXT, true).unwrap(); // advance the clock
     let (late, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     assert!(ham.open_node(MAIN_CONTEXT, late, Time(1), &[]).is_err());
@@ -40,7 +43,7 @@ fn open_node_before_creation_time_fails() {
 
 #[test]
 fn copy_link_from_deleted_link_fails() {
-    let mut ham = fresh("copy-deleted");
+    let (_dir, mut ham) = fresh("copy-deleted");
     let (a, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let (b, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let (l, _) = ham
@@ -58,7 +61,7 @@ fn copy_link_from_deleted_link_fails() {
 
 #[test]
 fn pinned_attachments_may_not_move() {
-    let mut ham = fresh("pin-fixed");
+    let (_dir, mut ham) = fresh("pin-fixed");
     let (target, tt) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let tt = ham
         .modify_node(MAIN_CONTEXT, target, tt, b"vv\n".to_vec(), &[])
@@ -101,7 +104,7 @@ fn pinned_attachments_may_not_move() {
 
 #[test]
 fn modify_node_rejects_points_for_other_nodes() {
-    let mut ham = fresh("foreign-pt");
+    let (_dir, mut ham) = fresh("foreign-pt");
     let (a, ta) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.modify_node(MAIN_CONTEXT, a, ta, b"contents\n".to_vec(), &[])
         .unwrap();
@@ -123,7 +126,7 @@ fn modify_node_rejects_points_for_other_nodes() {
 
 #[test]
 fn both_ends_on_same_node_appear_in_canonical_order() {
-    let mut ham = fresh("self-link");
+    let (_dir, mut ham) = fresh("self-link");
     let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.modify_node(MAIN_CONTEXT, n, t, b"0123456789\n".to_vec(), &[])
         .unwrap();
@@ -150,7 +153,7 @@ fn both_ends_on_same_node_appear_in_canonical_order() {
 
 #[test]
 fn attribute_values_include_link_attributes() {
-    let mut ham = fresh("link-values");
+    let (_dir, mut ham) = fresh("link-values");
     let (a, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let (b, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let (l, _) = ham
@@ -177,8 +180,7 @@ fn attribute_values_include_link_attributes() {
 
 #[test]
 fn node_opened_demon_runs_in_auto_txn_and_survives_recovery() {
-    let dir = std::env::temp_dir().join(format!("neptune-edge-opened-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("neptune-edge-opened");
     let pid;
     let node;
     {
@@ -207,7 +209,7 @@ fn node_opened_demon_runs_in_auto_txn_and_survives_recovery() {
 
 #[test]
 fn requested_attributes_resolve_per_object_in_queries() {
-    let mut ham = fresh("query-attrs");
+    let (_dir, mut ham) = fresh("query-attrs");
     let kind = ham.get_attribute_index(MAIN_CONTEXT, "kind").unwrap();
     let size = ham.get_attribute_index(MAIN_CONTEXT, "size").unwrap();
     let (a, _) = ham.add_node(MAIN_CONTEXT, true).unwrap();
@@ -237,7 +239,7 @@ fn requested_attributes_resolve_per_object_in_queries() {
 
 #[test]
 fn context_ids_are_not_reused_after_destroy() {
-    let mut ham = fresh("ctx-ids");
+    let (_dir, mut ham) = fresh("ctx-ids");
     let c1 = ham.create_context(MAIN_CONTEXT).unwrap();
     ham.destroy_context(c1).unwrap();
     let c2 = ham.create_context(MAIN_CONTEXT).unwrap();
@@ -251,7 +253,7 @@ fn context_ids_are_not_reused_after_destroy() {
 
 #[test]
 fn nested_context_forks() {
-    let mut ham = fresh("nested-ctx");
+    let (_dir, mut ham) = fresh("nested-ctx");
     let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.modify_node(MAIN_CONTEXT, n, t, b"base\n".to_vec(), &[])
         .unwrap();
@@ -287,7 +289,7 @@ fn nested_context_forks() {
 
 #[test]
 fn empty_graph_queries_are_fine() {
-    let ham = fresh("empty");
+    let (_dir, ham) = fresh("empty");
     let sg = ham
         .get_graph_query(
             MAIN_CONTEXT,
@@ -319,7 +321,7 @@ fn empty_graph_queries_are_fine() {
 #[test]
 fn huge_contents_roundtrip() {
     // A 2 MiB node: past any buffer-size assumptions.
-    let mut ham = fresh("huge");
+    let (_dir, mut ham) = fresh("huge");
     let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let big: Vec<u8> = (0..2 * 1024 * 1024u32).map(|i| (i % 251) as u8).collect();
     ham.modify_node(MAIN_CONTEXT, n, t, big.clone(), &[])

@@ -9,12 +9,11 @@ use std::sync::Arc;
 
 use neptune_ham::types::{Machine, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, HamError, Value};
+use neptune_storage::testutil::TempDir;
 use neptune_storage::{FaultKind, FaultVfs, StorageError};
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("neptune-fail-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("neptune-fail-{name}"))
 }
 
 fn flip_byte(path: &PathBuf, from_end: u64) {
@@ -39,7 +38,7 @@ fn corrupt_snapshot_is_detected_on_open() {
     ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.checkpoint().unwrap();
     drop(ham);
-    flip_byte(&dir.join("graph.snap"), 0);
+    flip_byte(&dir.path().join("graph.snap"), 0);
     let err = Ham::open_graph(pid, &Machine::local(), &dir);
     assert!(err.is_err(), "corrupt snapshot must not open");
 }
@@ -49,7 +48,7 @@ fn corrupt_meta_is_detected() {
     let dir = tmpdir("meta");
     let (ham, pid, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
     drop(ham);
-    flip_byte(&dir.join("graph.meta"), 0);
+    flip_byte(&dir.path().join("graph.meta"), 0);
     assert!(Ham::open_graph(pid, &Machine::local(), &dir).is_err());
 }
 
@@ -70,7 +69,7 @@ fn torn_wal_tail_recovers_committed_prefix() {
     {
         let mut f = OpenOptions::new()
             .append(true)
-            .open(dir.join("wal.log"))
+            .open(dir.path().join("wal.log"))
             .unwrap();
         f.write_all(&[0xAB, 0xCD]).unwrap();
     }
@@ -104,7 +103,7 @@ fn corrupted_wal_record_truncates_replay_to_prefix() {
     }
     // Corrupt a byte near the end: the last transaction's records die, the
     // earlier prefix must still replay.
-    flip_byte(&dir.join("wal.log"), 4);
+    flip_byte(&dir.path().join("wal.log"), 4);
     let (mut ham, ctx) = Ham::open_graph(pid, &Machine::local(), &dir).unwrap();
     assert_eq!(
         ham.open_node(ctx, first, Time::CURRENT, &[])
@@ -206,15 +205,15 @@ fn wal_grows_then_checkpoint_shrinks_it() {
         ham.set_node_attribute_value(MAIN_CONTEXT, node, attr, Value::Int(i))
             .unwrap();
     }
-    let before = fs::metadata(dir.join("wal.log")).unwrap().len();
+    let before = fs::metadata(dir.path().join("wal.log")).unwrap().len();
     ham.checkpoint().unwrap();
-    let after = fs::metadata(dir.join("wal.log")).unwrap().len();
+    let after = fs::metadata(dir.path().join("wal.log")).unwrap().len();
     assert!(
         after < before / 2,
         "checkpoint truncates the log ({before} -> {after})"
     );
     // And node blobs were mirrored with contents.
-    assert!(dir.join("nodes").exists());
+    assert!(dir.path().join("nodes").exists());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use neptune_ham::types::{LinkPt, Machine, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, Value};
-use neptune_storage::testutil::XorShift;
+use neptune_storage::testutil::{TempDir, XorShift};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -241,8 +241,7 @@ fn committed_state_survives_crash() {
     for case in 0..24 {
         let count = 1 + rng.below(24) as usize;
         let ops: Vec<Op> = (0..count).map(|_| gen_op(&mut rng)).collect();
-        let dir = std::env::temp_dir().join(format!("neptune-fuzz-{}-{case}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("neptune-fuzz-{case}"));
         let (mut ham, pid, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
         for op in &ops {
             apply(&mut ham, op);
@@ -253,6 +252,5 @@ fn committed_state_survives_crash() {
         let (ham, _) = Ham::open_graph(pid, &Machine::local(), &dir).unwrap();
         let after = fingerprint(&ham);
         assert_eq!(before, after, "case {case}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,18 +9,16 @@
 //! committed (the version-materialization cache must never serve bytes
 //! from a different world).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use neptune_ham::context::ConflictPolicy;
 use neptune_ham::types::{NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, ShardedHam};
+use neptune_storage::testutil::TempDir;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("neptune-view-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("neptune-view-{name}"))
 }
 
 fn contents_of(ham: &Ham, node: NodeIndex) -> Vec<u8> {
@@ -42,7 +40,8 @@ fn view_contents(view: &neptune_ham::CommittedView, node: NodeIndex) -> Vec<u8> 
 /// the epoch.
 #[test]
 fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
-    let (mut ham, _, _) = Ham::create_graph(tmpdir("stable"), Protections::DEFAULT).unwrap();
+    let dir = tmpdir("stable");
+    let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
     let (node, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.modify_node(MAIN_CONTEXT, node, t0, &b"v1"[..], &[])
         .unwrap();
@@ -106,7 +105,8 @@ fn forked_and_merged_contexts_under_concurrent_lockfree_readers() {
     const ROUNDS: u64 = 40;
     const READERS: usize = 4;
 
-    let (mut ham, _, _) = Ham::create_graph(tmpdir("fork-merge"), Protections::DEFAULT).unwrap();
+    let dir = tmpdir("fork-merge");
+    let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
     let (node, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     ham.modify_node(MAIN_CONTEXT, node, t0, &b"round-0"[..], &[])
         .unwrap();
@@ -229,8 +229,8 @@ fn multi_shard_fork_merge_destroy_under_lockfree_readers() {
     const ROUNDS: u64 = 30;
     const READERS: usize = 3;
 
-    let (sharded, _, _) =
-        ShardedHam::create(tmpdir("multi-shard"), Protections::DEFAULT, SHARDS).unwrap();
+    let dir = tmpdir("multi-shard");
+    let (sharded, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, SHARDS).unwrap();
     let sharded = Arc::new(sharded);
     let node = {
         let mut main = sharded.lock_home(MAIN_CONTEXT).unwrap();
@@ -371,8 +371,8 @@ fn cross_shard_stress_produces_zero_torn_multiviews() {
     let torn_before = torn.get();
     let cross_before = cross.get();
 
-    let (sharded, _, _) =
-        ShardedHam::create(tmpdir("torn-stress"), Protections::DEFAULT, SHARDS).unwrap();
+    let dir = tmpdir("torn-stress");
+    let (sharded, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, SHARDS).unwrap();
     let sharded = Arc::new(sharded);
     let node = {
         let mut main = sharded.lock_home(MAIN_CONTEXT).unwrap();

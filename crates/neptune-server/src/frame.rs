@@ -1,7 +1,8 @@
 //! Message framing over a byte stream.
 //!
-//! Each message travels as `[len: u32 LE][crc32(payload): u32 LE][payload]`.
-//! The CRC protects against a corrupted or desynchronized stream turning
+//! Each message travels as `[len: u32 LE][crc32(payload): u32 LE][payload]`,
+//! the same frame the write-ahead log puts on disk
+//! ([`neptune_storage::frame`]). The CRC protects against a corrupted or desynchronized stream turning
 //! into a silently wrong operation on the server.
 //!
 //! [`FrameBuf`] holds per-connection scratch state so the steady-state cost
@@ -13,9 +14,10 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use neptune_storage::checksum::{crc32, Crc32};
+use neptune_storage::checksum::crc32;
 use neptune_storage::codec::{Decode, Encode, Writer};
 use neptune_storage::error::{Result, StorageError};
+use neptune_storage::frame::frame_header;
 
 /// Largest accepted frame (64 MiB): a node's contents can be large, but a
 /// length beyond this indicates a desynchronized or hostile stream.
@@ -108,19 +110,8 @@ impl FrameBuf {
     pub fn queue_frame<W: Write, T: Encode>(&mut self, writer: &mut W, message: &T) -> Result<()> {
         self.write_scratch.clear();
         message.encode(&mut self.write_scratch);
+        let header = frame_header(&self.write_scratch, MAX_FRAME)?;
         let len = self.write_scratch.len();
-        if len > MAX_FRAME as usize {
-            return Err(StorageError::FrameTooLarge {
-                len: len as u64,
-                max: MAX_FRAME as u64,
-            });
-        }
-        let mut hasher = Crc32::new();
-        self.write_scratch
-            .for_each_chunk(|chunk| hasher.update(chunk));
-        let [l0, l1, l2, l3] = (len as u32).to_le_bytes();
-        let [c0, c1, c2, c3] = hasher.finish().to_le_bytes();
-        let header = [l0, l1, l2, l3, c0, c1, c2, c3];
         writer.write_all(&header)?;
         let mut io_err: Option<std::io::Error> = None;
         self.write_scratch.for_each_chunk(|chunk| {

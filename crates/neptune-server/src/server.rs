@@ -42,7 +42,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,6 +102,9 @@ struct Shared {
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     lock_timeout: Duration,
+    /// Connection-thread handles the accept loop holds, as of its last
+    /// accept (see [`ServerHandle::retained_connection_threads`]).
+    retained_conn_threads: AtomicUsize,
 }
 
 impl Shared {
@@ -210,6 +213,14 @@ impl ServerHandle {
         self.shared.txn_released.notify_all();
     }
 
+    /// How many connection-thread handles the accept loop holds, as of
+    /// its last accept: the live connections plus any that ended since.
+    /// Each accept reaps the finished ones, so under connection churn this
+    /// stays near the number of open connections.
+    pub fn retained_connection_threads(&self) -> usize {
+        self.shared.retained_conn_threads.load(Ordering::Relaxed)
+    }
+
     fn stop_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
@@ -275,6 +286,7 @@ pub fn serve_sharded_with(
         shutdown: AtomicBool::new(false),
         next_conn: AtomicU64::new(1),
         lock_timeout: options.lock_timeout,
+        retained_conn_threads: AtomicUsize::new(0),
     });
 
     let accept_shared = shared.clone();
@@ -283,6 +295,7 @@ pub fn serve_sharded_with(
         while !accept_shared.shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    reap_finished(&mut conn_threads);
                     let conn_shared = accept_shared.clone();
                     let id = conn_shared.next_conn.fetch_add(1, Ordering::SeqCst);
                     conn_threads.push(std::thread::spawn(move || {
@@ -296,6 +309,9 @@ pub fn serve_sharded_with(
                         record_peak_connections();
                         let _ = handle_connection(stream, id, conn_shared);
                     }));
+                    accept_shared
+                        .retained_conn_threads
+                        .store(conn_threads.len(), Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -313,6 +329,19 @@ pub fn serve_sharded_with(
         shared,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// Join and drop the handles of connection threads that have ended, so
+/// the accept loop holds one handle per live connection (plus any that
+/// ended since the last accept) rather than one per connection ever made.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(threads)
+        .into_iter()
+        .partition(|t| t.is_finished());
+    *threads = live;
+    for t in done {
+        let _ = t.join();
+    }
 }
 
 fn handle_connection(
@@ -1245,6 +1274,7 @@ mod tests {
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(1),
             lock_timeout: Duration::from_millis(100),
+            retained_conn_threads: AtomicUsize::new(0),
         }
     }
 

@@ -554,3 +554,25 @@ fn many_clients_interleave_without_corruption() {
     assert_eq!(sg.nodes.len(), 40);
     server.stop();
 }
+
+#[test]
+fn connection_churn_keeps_the_thread_handle_list_bounded() {
+    // One connection open at a time, 1000 times over. Each accept reaps
+    // the handles of connections that already ended, so the accept loop
+    // never holds many more handles than there are open connections; a
+    // loop that kept every handle until shutdown would reach 1000.
+    const SLACK: usize = 8;
+    let (server, _dir) = start("churn");
+    let mut peak = 0;
+    for _ in 0..1000 {
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+        peak = peak.max(server.retained_connection_threads());
+        drop(client);
+    }
+    assert!(
+        peak <= 1 + SLACK,
+        "accept loop held {peak} handles with one connection open"
+    );
+    server.stop();
+}

@@ -176,17 +176,18 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use std::fs;
 
-    fn store(name: &str) -> BlobStore {
-        let dir = std::env::temp_dir().join(format!("neptune-blob-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        BlobStore::open(dir, Protections::DEFAULT).unwrap()
+    fn store(name: &str) -> (TempDir, BlobStore) {
+        let dir = TempDir::new(&format!("neptune-blob-{name}"));
+        let store = BlobStore::open(dir.path(), Protections::DEFAULT).unwrap();
+        (dir, store)
     }
 
     #[test]
     fn put_get_roundtrip() {
-        let s = store("rt");
+        let (_dir, s) = store("rt");
         s.put(1, b"node one").unwrap();
         s.put(2, b"").unwrap();
         assert_eq!(s.get(1).unwrap(), b"node one".to_vec());
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn overwrite_replaces() {
-        let s = store("ow");
+        let (_dir, s) = store("ow");
         s.put(7, b"old").unwrap();
         s.put(7, b"new contents").unwrap();
         assert_eq!(s.get(7).unwrap(), b"new contents".to_vec());
@@ -203,14 +204,14 @@ mod tests {
 
     #[test]
     fn missing_blob_is_not_found() {
-        let s = store("missing");
+        let (_dir, s) = store("missing");
         assert!(matches!(s.get(99), Err(StorageError::NotFound { id: 99 })));
         assert!(!s.contains(99));
     }
 
     #[test]
     fn delete_is_idempotent() {
-        let s = store("del");
+        let (_dir, s) = store("del");
         s.put(3, b"x").unwrap();
         s.delete(3).unwrap();
         s.delete(3).unwrap();
@@ -219,7 +220,7 @@ mod tests {
 
     #[test]
     fn ids_lists_contents() {
-        let s = store("ids");
+        let (_dir, s) = store("ids");
         s.put(10, b"a").unwrap();
         s.put(20, b"b").unwrap();
         let mut ids = s.ids().unwrap();
@@ -231,7 +232,7 @@ mod tests {
     #[test]
     fn protections_are_applied() {
         use std::os::unix::fs::PermissionsExt;
-        let s = store("prot");
+        let (_dir, s) = store("prot");
         s.put(5, b"guarded").unwrap();
         s.set_protections(5, Protections::READ_ONLY).unwrap();
         let meta = fs::metadata(s.root().join(format!("{:016x}.blob", 5u64))).unwrap();
@@ -242,7 +243,7 @@ mod tests {
 
     #[test]
     fn set_protections_on_missing_blob_fails() {
-        let s = store("prot-missing");
+        let (_dir, s) = store("prot-missing");
         assert!(s.set_protections(42, Protections::PRIVATE).is_err());
     }
 

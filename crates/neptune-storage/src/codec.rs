@@ -19,7 +19,8 @@ use std::sync::Arc;
 /// [`Writer::put_bytes_shared`]: the `Arc` is recorded alongside the offset
 /// it belongs at instead of being copied into the buffer, and consumers that
 /// stream the encoding ([`Writer::for_each_chunk`]) never materialize a
-/// contiguous copy.
+/// contiguous copy. [`Writer::put_nested`] splices the length prefix of a
+/// byte string encoded in place the same way.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -27,15 +28,14 @@ pub struct Writer {
     /// the segment's bytes belong between `buf[..offset]` and `buf[offset..]`.
     /// Offsets are non-decreasing (append-only writer).
     segments: Vec<(usize, Arc<[u8]>)>,
+    /// Total bytes in `segments`, so [`Writer::len`] is O(1).
+    segment_bytes: usize,
 }
 
 impl Writer {
     /// Create an empty writer.
     pub fn new() -> Self {
-        Writer {
-            buf: Vec::new(),
-            segments: Vec::new(),
-        }
+        Writer::with_capacity(0)
     }
 
     /// Create a writer with `cap` bytes preallocated.
@@ -43,6 +43,7 @@ impl Writer {
         Writer {
             buf: Vec::with_capacity(cap),
             segments: Vec::new(),
+            segment_bytes: 0,
         }
     }
 
@@ -89,8 +90,25 @@ impl Writer {
     pub fn put_bytes_shared(&mut self, bytes: Arc<[u8]>) {
         self.put_u64(bytes.len() as u64);
         if !bytes.is_empty() {
+            self.segment_bytes += bytes.len();
             self.segments.push((self.buf.len(), bytes));
         }
+    }
+
+    /// Append a length-prefixed byte string whose contents `f` encodes in
+    /// place: the same bytes as `put_bytes(&inner.to_bytes())`, without the
+    /// intermediate buffer or its copy. The varint length is known only
+    /// once `f` returns, so it is spliced in front of the contents as a
+    /// small shared segment instead of shifting them.
+    pub fn put_nested(&mut self, f: impl FnOnce(&mut Writer)) {
+        let (offset, index, before) = (self.buf.len(), self.segments.len(), self.len());
+        f(self);
+        let mut prefix = Vec::with_capacity(varint::MAX_VARINT_LEN);
+        varint::write_u64(&mut prefix, (self.len() - before) as u64);
+        self.segment_bytes += prefix.len();
+        // Segments `f` pushed sit at or after `offset`; the prefix precedes
+        // them all.
+        self.segments.insert(index, (offset, prefix.into()));
     }
 
     /// Append a length-prefixed UTF-8 string.
@@ -105,7 +123,7 @@ impl Writer {
 
     /// Number of bytes written so far, shared segments included.
     pub fn len(&self) -> usize {
-        self.buf.len() + self.segments.iter().map(|(_, s)| s.len()).sum::<usize>()
+        self.buf.len() + self.segment_bytes
     }
 
     /// Whether nothing has been written.
@@ -117,6 +135,7 @@ impl Writer {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.segments.clear();
+        self.segment_bytes = 0;
     }
 
     /// Visit the encoded bytes in order as a sequence of contiguous chunks,
@@ -148,8 +167,9 @@ impl Writer {
 
     /// Borrow the bytes written so far.
     ///
-    /// Only valid while no shared segments are pending; use
-    /// [`Writer::for_each_chunk`] or [`Writer::into_bytes`] otherwise.
+    /// Only valid while no shared segments (nested length prefixes
+    /// included) are pending; use [`Writer::for_each_chunk`] or
+    /// [`Writer::into_bytes`] otherwise.
     pub fn as_slice(&self) -> &[u8] {
         debug_assert!(
             self.segments.is_empty(),
@@ -624,6 +644,42 @@ mod tests {
         w.for_each_chunk(|chunk| flat.extend_from_slice(chunk));
         assert_eq!(flat, b"\x04AAAA-\x02BB!");
         assert_eq!(w.into_bytes(), b"\x04AAAA-\x02BB!");
+    }
+
+    #[test]
+    fn nested_bytes_match_put_bytes_of_the_inner_encoding() {
+        // Contents encoded in place, with a shared segment and a second
+        // nested string inside, against the copy-through-a-buffer form.
+        let payload: Arc<[u8]> = Arc::from(vec![3u8; 200]);
+        let inner = |w: &mut Writer| {
+            w.put_u64(7);
+            w.put_bytes_shared(payload.clone());
+            w.put_nested(|w| w.put_str("deep"));
+            w.put_u8(b'!');
+        };
+        for size in [0usize, 1, 127, 128, 20_000] {
+            let mut nested = Writer::new();
+            nested.put_u8(b'<');
+            nested.put_nested(|w| {
+                w.put_raw(&vec![1u8; size]);
+                inner(w);
+            });
+            nested.put_u8(b'>');
+
+            let mut body = Writer::new();
+            body.put_raw(&vec![1u8; size]);
+            inner(&mut body);
+            let mut copied = Writer::new();
+            copied.put_u8(b'<');
+            copied.put_bytes(&body.into_bytes());
+            copied.put_u8(b'>');
+
+            assert_eq!(nested.len(), copied.len(), "size {size}");
+            assert_eq!(nested.into_bytes(), copied.into_bytes(), "size {size}");
+        }
+        let mut empty = Writer::new();
+        empty.put_nested(|_| {});
+        assert_eq!(empty.into_bytes(), vec![0]);
     }
 
     #[test]

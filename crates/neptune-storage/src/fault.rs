@@ -596,11 +596,11 @@ impl Vfs for FaultVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-fault-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+    fn tmpdir(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("neptune-fault-{name}"));
+        fs::create_dir_all(dir.path()).unwrap();
         dir
     }
 
@@ -608,14 +608,14 @@ mod tests {
     fn unsynced_data_does_not_survive_power_cut() {
         let dir = tmpdir("unsynced");
         let vfs = FaultVfs::new();
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         let mut f = vfs.create(&path).unwrap();
         f.append(b"durable").unwrap();
         f.sync().unwrap();
         f.append(b" lost").unwrap();
         // No sync: the tail exists only in the working tree.
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"durable");
     }
 
@@ -623,8 +623,8 @@ mod tests {
     fn rename_needs_dir_sync_to_survive() {
         let dir = tmpdir("rename");
         let vfs = FaultVfs::new();
-        let tmp = dir.join("x.tmp");
-        let real = dir.join("x");
+        let tmp = dir.path().join("x.tmp");
+        let real = dir.path().join("x");
         let mut f = vfs.create(&tmp).unwrap();
         f.append(b"v1").unwrap();
         f.sync().unwrap();
@@ -634,7 +634,7 @@ mod tests {
         assert!(real.exists() && !tmp.exists());
         // ...but power dies before the directory fsync.
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert!(tmp.exists(), "unsynced rename must roll back to the source");
         assert!(!real.exists());
         assert_eq!(fs::read(&tmp).unwrap(), b"v1");
@@ -644,16 +644,16 @@ mod tests {
     fn dir_sync_makes_rename_durable() {
         let dir = tmpdir("rename-sync");
         let vfs = FaultVfs::new();
-        let tmp = dir.join("x.tmp");
-        let real = dir.join("x");
+        let tmp = dir.path().join("x.tmp");
+        let real = dir.path().join("x");
         let mut f = vfs.create(&tmp).unwrap();
         f.append(b"v1").unwrap();
         f.sync().unwrap();
         drop(f);
         vfs.rename(&tmp, &real).unwrap();
-        vfs.sync_dir(&dir).unwrap();
+        vfs.sync_dir(dir.path()).unwrap();
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert!(!tmp.exists());
         assert_eq!(fs::read(&real).unwrap(), b"v1");
     }
@@ -662,7 +662,7 @@ mod tests {
     fn short_write_tears_the_working_tree_only() {
         let dir = tmpdir("short");
         let vfs = FaultVfs::new();
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         let mut f = vfs.create(&path).unwrap();
         f.append(b"base").unwrap();
         f.sync().unwrap();
@@ -673,7 +673,7 @@ mod tests {
         // Working tree has the torn prefix; the durable image does not.
         assert_eq!(fs::read(&path).unwrap(), b"base1234");
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"base");
     }
 
@@ -681,7 +681,7 @@ mod tests {
     fn failed_sync_leaves_durable_image_stale() {
         let dir = tmpdir("failsync");
         let vfs = FaultVfs::new();
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         let mut f = vfs.create(&path).unwrap();
         f.append(b"old").unwrap();
         f.sync().unwrap();
@@ -690,7 +690,7 @@ mod tests {
         vfs.arm(FaultKind::FailSync, 0);
         assert!(f.sync().is_err());
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"old");
     }
 
@@ -698,8 +698,8 @@ mod tests {
     fn torn_rename_reports_success_but_is_not_durable() {
         let dir = tmpdir("torn-rename");
         let vfs = FaultVfs::new();
-        let tmp = dir.join("s.tmp");
-        let real = dir.join("s");
+        let tmp = dir.path().join("s.tmp");
+        let real = dir.path().join("s");
         let mut f = vfs.create(&tmp).unwrap();
         f.append(b"snap").unwrap();
         f.sync().unwrap();
@@ -707,8 +707,8 @@ mod tests {
         vfs.arm(FaultKind::TornRename, 0);
         vfs.rename(&tmp, &real).unwrap(); // reports success!
         assert!(vfs.is_powered_off());
-        assert!(vfs.sync_dir(&dir).is_err(), "power is off");
-        vfs.materialize_durable(&dir).unwrap();
+        assert!(vfs.sync_dir(dir.path()).is_err(), "power is off");
+        vfs.materialize_durable(dir.path()).unwrap();
         assert!(tmp.exists() && !real.exists());
     }
 
@@ -716,7 +716,7 @@ mod tests {
     fn power_cut_freezes_everything() {
         let dir = tmpdir("powercut");
         let vfs = FaultVfs::new();
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         let mut f = vfs.create(&path).unwrap();
         f.append(b"kept").unwrap();
         f.sync().unwrap();
@@ -727,9 +727,9 @@ mod tests {
             .to_string()
             .contains("power"));
         assert!(f.sync().is_err());
-        assert!(vfs.create(&dir.join("g")).is_err());
+        assert!(vfs.create(&dir.path().join("g")).is_err());
         assert!(vfs.read(&path).is_err());
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"kept");
     }
 
@@ -737,7 +737,7 @@ mod tests {
     fn step_counting_targets_the_nth_matching_op() {
         let dir = tmpdir("nth");
         let vfs = FaultVfs::new();
-        let mut f = vfs.create(&dir.join("f")).unwrap();
+        let mut f = vfs.create(&dir.path().join("f")).unwrap();
         vfs.arm(FaultKind::ShortWrite, 2);
         f.append(b"aa").unwrap();
         f.sync().unwrap(); // not an append: does not advance the counter
@@ -752,11 +752,11 @@ mod tests {
     fn op_log_records_order() {
         let dir = tmpdir("oplog");
         let vfs = FaultVfs::new();
-        let mut f = vfs.create(&dir.join("w")).unwrap();
+        let mut f = vfs.create(&dir.path().join("w")).unwrap();
         f.append(b"x").unwrap();
         f.sync().unwrap();
         drop(f);
-        vfs.sync_dir(&dir).unwrap();
+        vfs.sync_dir(dir.path()).unwrap();
         let log = vfs.op_log();
         let names: Vec<&str> = log.iter().map(|s| s.split(' ').next().unwrap()).collect();
         assert_eq!(names, vec!["create", "append", "sync", "sync_dir"]);
@@ -768,13 +768,13 @@ mod tests {
         // entry is durable but the data is not.
         let dir = tmpdir("empty-rename");
         let vfs = FaultVfs::new();
-        let tmp = dir.join("x.tmp");
-        let real = dir.join("x");
+        let tmp = dir.path().join("x.tmp");
+        let real = dir.path().join("x");
         vfs.create(&tmp).unwrap().append(b"data").unwrap();
         vfs.rename(&tmp, &real).unwrap();
-        vfs.sync_dir(&dir).unwrap();
+        vfs.sync_dir(dir.path()).unwrap();
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert_eq!(fs::read(&real).unwrap(), b"");
     }
 }

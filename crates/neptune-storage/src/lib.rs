@@ -11,6 +11,8 @@
 //!
 //! * [`codec`] — an explicit binary encoding for all durable state;
 //! * [`checksum`] — CRC-32 integrity for every durable record;
+//! * [`frame`] — the `[len][crc][body]` frame shared by the WAL and the
+//!   wire protocol;
 //! * [`varint`] — compact integer encoding used throughout;
 //! * [`diff`] — a Myers O(ND) line diff producing the paper's `Difference`
 //!   domain (`getNodeDifferences`, the node-differences browser);
@@ -43,6 +45,7 @@ pub mod delta;
 pub mod diff;
 pub mod error;
 pub mod fault;
+pub mod frame;
 pub mod snapshot;
 pub mod testutil;
 pub mod varint;

@@ -85,19 +85,19 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use std::fs;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-snap-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+    fn tmpdir(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("neptune-snap-{name}"));
+        fs::create_dir_all(dir.path()).unwrap();
         dir
     }
 
     #[test]
     fn roundtrip() {
         let dir = tmpdir("rt");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"hello graph").unwrap();
         assert_eq!(read_snapshot(&path).unwrap(), b"hello graph".to_vec());
     }
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn empty_payload() {
         let dir = tmpdir("empty");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"").unwrap();
         assert_eq!(read_snapshot(&path).unwrap(), Vec::<u8>::new());
     }
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn overwrite_replaces_cleanly() {
         let dir = tmpdir("overwrite");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"first").unwrap();
         write_snapshot(&path, b"second, longer payload").unwrap();
         assert_eq!(
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let dir = tmpdir("corrupt");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"important bytes").unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let dir = tmpdir("trunc");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"important bytes").unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
@@ -153,7 +153,7 @@ mod tests {
         // `expect`-backed indexing; a file that ends inside the fixed header
         // must fail with a decode error, not panic.
         let dir = tmpdir("trunc-header");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"payload").unwrap();
         let bytes = fs::read(&path).unwrap();
         // Cut inside the u64 length field, then inside the u32 crc field.
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn wrong_magic_rejected() {
         let dir = tmpdir("magic");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         fs::write(&path, b"WRONGMAGxxxxxxxxxxxx").unwrap();
         assert!(matches!(
             read_snapshot(&path),
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn v1_and_unknown_magic_are_rejected() {
         let dir = tmpdir("v1reject");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"payload").unwrap();
         let mut bytes = fs::read(&path).unwrap();
         for magic in [b"NEPTSNP1", b"NEPTSNP3"] {
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn no_tmp_file_left_behind() {
         let dir = tmpdir("tmpfile");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         write_snapshot(&path, b"payload").unwrap();
         assert!(!path.with_extension("tmp").exists());
     }
@@ -205,7 +205,7 @@ mod tests {
     fn dir_fsync_failure_propagates() {
         use crate::fault::{FaultKind, FaultVfs};
         let dir = tmpdir("dirsync");
-        let path = dir.join("graph.snap");
+        let path = dir.path().join("graph.snap");
         let vfs = FaultVfs::new();
         // First sync in write_snapshot is the tmp file; the second sync
         // class op is the directory fsync after the rename.
@@ -216,7 +216,7 @@ mod tests {
         );
         // Without the dir fsync the rename is not durable.
         vfs.power_off();
-        vfs.materialize_durable(&dir).unwrap();
+        vfs.materialize_durable(dir.path()).unwrap();
         assert!(!path.exists());
     }
 
@@ -227,7 +227,7 @@ mod tests {
             let mut at = 0;
             loop {
                 let dir = tmpdir(&format!("old-{kind}"));
-                let path = dir.join("graph.snap");
+                let path = dir.path().join("graph.snap");
                 let vfs = FaultVfs::new();
                 write_snapshot_with(&vfs, &path, b"old").unwrap();
                 vfs.arm(kind, at);
@@ -241,7 +241,7 @@ mod tests {
                     assert!(r.is_err(), "{kind} at {at} must surface");
                 }
                 vfs.power_off();
-                vfs.materialize_durable(&dir).unwrap();
+                vfs.materialize_durable(dir.path()).unwrap();
                 let payload = read_snapshot(&path).expect("snapshot must survive any fault");
                 assert!(
                     payload == b"old" || payload == b"new",

@@ -204,11 +204,11 @@ pub fn parent_dir(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-vfs-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+    fn tmpdir(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("neptune-vfs-{name}"));
+        fs::create_dir_all(dir.path()).unwrap();
         dir
     }
 
@@ -216,7 +216,7 @@ mod tests {
     fn append_read_roundtrip() {
         let dir = tmpdir("rt");
         let vfs = StdVfs;
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         let mut f = vfs.create(&path).unwrap();
         f.append(b"hello ").unwrap();
         f.append(b"world").unwrap();
@@ -233,7 +233,7 @@ mod tests {
     fn set_len_then_append_continues_at_new_end() {
         let dir = tmpdir("truncate");
         let vfs = StdVfs;
-        let mut f = vfs.create(&dir.join("f")).unwrap();
+        let mut f = vfs.create(&dir.path().join("f")).unwrap();
         f.append(b"0123456789").unwrap();
         f.set_len(4).unwrap();
         f.append(b"XY").unwrap();
@@ -244,7 +244,7 @@ mod tests {
     fn open_append_preserves_existing_contents() {
         let dir = tmpdir("append");
         let vfs = StdVfs;
-        let path = dir.join("f");
+        let path = dir.path().join("f");
         vfs.create(&path).unwrap().append(b"abc").unwrap();
         let mut f = vfs.open_append(&path).unwrap();
         f.append(b"def").unwrap();
@@ -255,14 +255,14 @@ mod tests {
     fn rename_and_dir_ops() {
         let dir = tmpdir("dirops");
         let vfs = StdVfs;
-        let a = dir.join("a");
-        let b = dir.join("b");
+        let a = dir.path().join("a");
+        let b = dir.path().join("b");
         vfs.create(&a).unwrap().append(b"x").unwrap();
         vfs.rename(&a, &b).unwrap();
-        vfs.sync_dir(&dir).unwrap();
+        vfs.sync_dir(dir.path()).unwrap();
         assert!(!vfs.exists(&a));
         assert!(vfs.exists(&b));
-        let names = vfs.read_dir(&dir).unwrap();
+        let names = vfs.read_dir(dir.path()).unwrap();
         assert_eq!(names, vec![std::ffi::OsString::from("b")]);
         vfs.remove_file(&b).unwrap();
         assert!(!vfs.exists(&b));

@@ -29,18 +29,28 @@
 //! All file I/O goes through a [`Vfs`](crate::vfs::Vfs) so crash-consistency
 //! tests can inject failures at every step ([`crate::fault::FaultVfs`]).
 //!
-//! Record layout on disk, after an 8-byte file header:
+//! Record layout on disk, after an 8-byte file header, is the shared
+//! [`crate::frame`] around the record's encoding:
 //!
 //! ```text
-//! [ payload_len: u32 LE ][ crc32(payload): u32 LE ][ payload ]
+//! [ body_len: u32 LE ][ crc32(body): u32 LE ][ body ]
+//! body = [ lsn varint ][ txn_id varint ][ kind u8 ][ payload_len varint ][ payload ]
 //! ```
+//!
+//! A record goes from value to disk in one encode and one
+//! [`VfsFile::append`]: [`Wal::append_with`] encodes the payload straight
+//! into a reusable writer (its length prefix spliced in afterwards, see
+//! [`Writer::put_nested`]), frames it into a reusable buffer, and appends
+//! that buffer whole. Both buffers keep the capacity of the largest record
+//! so far, so a steady stream of large records allocates nothing.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::checksum::crc32;
-use crate::codec::{read_u32_at, Decode, Encode, Reader, Writer};
+use crate::codec::{read_u32_at, Decode, Reader, Writer};
 use crate::error::{Result, StorageError};
+use crate::frame::{frame_header, FRAME_HEADER_LEN};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 
 /// Magic bytes identifying a Neptune WAL file, version 1.
@@ -102,15 +112,6 @@ pub struct WalRecord {
     pub payload: Vec<u8>,
 }
 
-impl Encode for WalRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.lsn);
-        w.put_u64(self.txn_id);
-        w.put_u8(self.kind.to_tag());
-        w.put_bytes(&self.payload);
-    }
-}
-
 impl Decode for WalRecord {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(WalRecord {
@@ -142,6 +143,10 @@ pub struct Wal {
     path: PathBuf,
     next_lsn: u64,
     poisoned: bool,
+    /// Reused encode buffer for the record being appended.
+    encode: Writer,
+    /// Reused buffer the framed record is assembled in for its one append.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -164,12 +169,7 @@ impl Wal {
         if bytes.is_empty() {
             file.append(WAL_MAGIC)?;
             file.sync()?;
-            return Ok(Wal {
-                file,
-                path,
-                next_lsn: 1,
-                poisoned: false,
-            });
+            return Ok(Wal::new(file, path, 1));
         }
 
         let (records, valid_end) = Self::scan(&bytes)?;
@@ -183,12 +183,18 @@ impl Wal {
             }
         }
         let next_lsn = records.last().map(|r| r.lsn + 1).unwrap_or(1);
-        Ok(Wal {
+        Ok(Wal::new(file, path, next_lsn))
+    }
+
+    fn new(file: Box<dyn VfsFile>, path: PathBuf, next_lsn: u64) -> Wal {
+        Wal {
             file,
             path,
             next_lsn,
             poisoned: false,
-        })
+            encode: Writer::new(),
+            frame: Vec::new(),
+        }
     }
 
     /// Read all intact records, returning them and the byte offset of the
@@ -284,22 +290,41 @@ impl Wal {
     /// Append a record, assigning it the next LSN. Not yet durable — call
     /// [`Wal::sync`] (done automatically by [`Wal::append_commit`]).
     pub fn append(&mut self, txn_id: u64, kind: RecordKind, payload: Vec<u8>) -> Result<u64> {
+        self.append_with(txn_id, kind, |w| w.put_raw(&payload))
+    }
+
+    /// Append a record whose payload `payload` encodes straight into the
+    /// log's reusable writer, assigning it the next LSN; the bytes equal
+    /// [`Wal::append`] of the payload's encoding. The frame goes to the
+    /// file in exactly one [`VfsFile::append`]. Not yet durable.
+    pub fn append_with(
+        &mut self,
+        txn_id: u64,
+        kind: RecordKind,
+        payload: impl FnOnce(&mut Writer),
+    ) -> Result<u64> {
         let _span = neptune_obs::span!("storage.wal_append");
         self.guard()?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let record = WalRecord {
-            lsn,
-            txn_id,
-            kind,
-            payload,
-        };
-        let body = record.to_bytes();
-        let mut frame = Vec::with_capacity(body.len() + 8);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        if let Err(e) = self.file.append(&frame) {
+        let Wal { encode, frame, .. } = self;
+        encode.clear();
+        // The record layout, read back by `WalRecord`'s `Decode`.
+        encode.put_u64(lsn);
+        encode.put_u64(txn_id);
+        encode.put_u8(kind.to_tag());
+        encode.put_nested(payload);
+        let framed = frame_header(encode, u32::MAX).map(|header| {
+            frame.clear();
+            frame.reserve(FRAME_HEADER_LEN + encode.len());
+            frame.extend_from_slice(&header);
+            encode.for_each_chunk(|chunk| frame.extend_from_slice(chunk));
+        });
+        // Release shared payload segments now rather than at the next
+        // append; the buffers themselves keep their capacity.
+        encode.clear();
+        framed?;
+        if let Err(e) = self.file.append(&self.frame) {
             // The frame may be torn on disk; no further appends until a
             // reopen rescans and truncates.
             self.poison();
@@ -455,20 +480,20 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use std::fs::OpenOptions;
     use std::io::{Read, Seek, SeekFrom, Write};
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("neptune-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn tmpdir(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("neptune-wal-{name}"));
+        std::fs::create_dir_all(dir.path()).unwrap();
         dir
     }
 
     #[test]
     fn append_and_recover_committed() {
         let dir = tmpdir("basic");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -487,9 +512,45 @@ mod tests {
     }
 
     #[test]
+    fn append_with_writes_the_bytes_of_append_in_one_file_append() {
+        use crate::fault::FaultVfs;
+        use std::sync::Arc;
+        let dir = tmpdir("append-with");
+        let vfs = FaultVfs::new();
+        let mut direct = Wal::open_with(&vfs, dir.path().join("direct")).unwrap();
+        let mut copied = Wal::open(dir.path().join("copied")).unwrap();
+        let shared: Arc<[u8]> = Arc::from(vec![5u8; 3000]);
+        // A large record, then a small one through the same reused buffers.
+        for size in [40_000usize, 3] {
+            let payload = |w: &mut Writer| {
+                w.put_raw(&vec![9u8; size]);
+                w.put_bytes_shared(shared.clone());
+                w.put_nested(|w| w.put_u64(300));
+            };
+            vfs.clear_op_log();
+            direct.append_with(7, RecordKind::Op, payload).unwrap();
+            let ops: Vec<String> = vfs.op_log();
+            assert_eq!(ops.len(), 1, "one file append per record: {ops:?}");
+            assert!(ops[0].starts_with("append"), "{ops:?}");
+            let mut w = Writer::new();
+            payload(&mut w);
+            copied.append(7, RecordKind::Op, w.into_bytes()).unwrap();
+        }
+        assert_eq!(
+            direct.file.read_all().unwrap(),
+            copied.file.read_all().unwrap()
+        );
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "no segment outlives its append"
+        );
+    }
+
+    #[test]
     fn uncommitted_tail_is_ignored_on_recovery() {
         let dir = tmpdir("uncommitted");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -510,7 +571,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated() {
         let dir = tmpdir("torn");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -538,7 +599,7 @@ mod tests {
         // with `expect`-backed indexing; a file ending partway through a
         // frame header must recover cleanly, not panic.
         let dir = tmpdir("torn-header");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -572,7 +633,7 @@ mod tests {
     #[test]
     fn mid_log_corruption_is_a_hard_error() {
         let dir = tmpdir("corrupt-mid");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         let flip_offset;
         {
             let mut wal = Wal::open(&path).unwrap();
@@ -599,7 +660,7 @@ mod tests {
     #[test]
     fn corrupt_final_record_is_a_torn_tail() {
         let dir = tmpdir("corrupt-tail");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -627,7 +688,7 @@ mod tests {
     #[test]
     fn checkpoint_resets_replay() {
         let dir = tmpdir("checkpoint");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
         wal.append(1, RecordKind::Op, b"before".to_vec()).unwrap();
@@ -644,7 +705,7 @@ mod tests {
     #[test]
     fn lsns_increase_across_reopen() {
         let dir = tmpdir("lsn");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         let last;
         {
             let mut wal = Wal::open(&path).unwrap();
@@ -658,7 +719,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let dir = tmpdir("magic");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         std::fs::write(&path, b"NOTAWAL!extra").unwrap();
         assert!(matches!(
             Wal::open(&path),
@@ -669,7 +730,7 @@ mod tests {
     #[test]
     fn empty_log_recovers_to_nothing() {
         let dir = tmpdir("empty");
-        let mut wal = Wal::open(dir.join("wal")).unwrap();
+        let mut wal = Wal::open(dir.path().join("wal")).unwrap();
         assert!(wal.recover().unwrap().is_empty());
         assert_eq!(wal.next_lsn(), 1);
     }
@@ -677,7 +738,7 @@ mod tests {
     #[test]
     fn commit_sequence_roundtrips_and_legacy_commits_decode_as_zero() {
         let dir = tmpdir("commit-seq");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         let mut wal = Wal::open(&path).unwrap();
         // Legacy commit: empty payload.
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
@@ -698,7 +759,7 @@ mod tests {
     #[test]
     fn recover_after_skips_checkpointed_lsns() {
         let dir = tmpdir("boundary");
-        let path = dir.join("wal");
+        let path = dir.path().join("wal");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
         wal.append(1, RecordKind::Op, b"folded".to_vec()).unwrap();
@@ -719,7 +780,7 @@ mod tests {
         use crate::fault::{FaultKind, FaultVfs};
         let dir = tmpdir("poison-append");
         let vfs = FaultVfs::new();
-        let mut wal = Wal::open_with(&vfs, dir.join("wal")).unwrap();
+        let mut wal = Wal::open_with(&vfs, dir.path().join("wal")).unwrap();
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
         vfs.arm(FaultKind::ShortWrite, 0);
         assert!(wal.append(1, RecordKind::Op, b"torn".to_vec()).is_err());
@@ -733,7 +794,7 @@ mod tests {
         assert!(matches!(wal.checkpoint(), Err(StorageError::LogPoisoned)));
         drop(wal);
         // ...and a reopen truncates the torn frame and works again.
-        let mut wal = Wal::open(dir.join("wal")).unwrap();
+        let mut wal = Wal::open(dir.path().join("wal")).unwrap();
         assert!(!wal.is_poisoned());
         wal.append_commit(1).unwrap();
     }
@@ -743,7 +804,7 @@ mod tests {
         use crate::fault::{FaultKind, FaultVfs};
         let dir = tmpdir("poison-sync");
         let vfs = FaultVfs::new();
-        let mut wal = Wal::open_with(&vfs, dir.join("wal")).unwrap();
+        let mut wal = Wal::open_with(&vfs, dir.path().join("wal")).unwrap();
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
         vfs.arm(FaultKind::FailSync, 0);
         assert!(wal.sync().is_err());
@@ -756,7 +817,7 @@ mod tests {
         use crate::fault::FaultVfs;
         let dir = tmpdir("ckpt-order");
         let vfs = FaultVfs::new();
-        let mut wal = Wal::open_with(&vfs, dir.join("wal")).unwrap();
+        let mut wal = Wal::open_with(&vfs, dir.path().join("wal")).unwrap();
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
         wal.append_commit(1).unwrap();
         vfs.clear_op_log();
